@@ -1,11 +1,7 @@
-// Executor throughput: the vectorized/parallel execution path against the
-// seed's tuple-at-a-time hash join, on a COUNT(*) over a 3-table chain.
+// Executor throughput: the batch and morsel-parallel execution paths on a
+// COUNT(*) over a 3-table chain.
 //
 // Modes, all required to produce bit-identical counts:
-//   seed_tuple    — a faithful replica of the pre-refactor hash join
-//                   (unordered_map<vector<Value>, vector<Row>> build,
-//                   per-probe key vector allocation), driven row at a time;
-//   tuple         — the flat-hash-table join, driven row at a time;
 //   batch_generic — the batch driver with kernel specialization disabled
 //                   (CompileOptions), i.e. per-row Value dispatch;
 //   batch         — the batch driver with type-specialized kernels;
@@ -41,7 +37,6 @@
 #include <iostream>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -52,9 +47,7 @@
 #include "common/thread_pool.h"
 #include "executor/compile.h"
 #include "executor/execute.h"
-#include "executor/join_ops.h"
 #include "executor/parallel.h"
-#include "executor/scan_ops.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "storage/catalog.h"
@@ -63,94 +56,6 @@
 
 namespace joinest {
 namespace {
-
-// ------------------------------------------------- Seed-replica hash join
-//
-// The hash join as it existed before the flat-table rewrite, preserved here
-// as the benchmark baseline: build side collected into an
-// unordered_map<vector<Value>, vector<Row>>, probe side allocating a fresh
-// key vector per row. Kept byte-for-byte faithful in the parts that matter
-// for cost (container, allocations, hashing), adapted only to the *Impl
-// operator hooks.
-class SeedHashJoinOperator : public Operator {
- public:
-  SeedHashJoinOperator(std::unique_ptr<Operator> left,
-                       std::unique_ptr<Operator> right,
-                       std::vector<Predicate> predicates)
-      : left_(std::move(left)), right_(std::move(right)) {
-    layout_ = left_->layout();
-    for (const ColumnRef& ref : right_->layout()) layout_.push_back(ref);
-    keys_ = ResolveJoinKeys(left_->layout(), right_->layout(), predicates);
-    JOINEST_CHECK(!keys_.empty()) << "hash join requires at least one key";
-  }
-
-  std::string name() const override { return "SeedHashJoin"; }
-
- protected:
-  void OpenImpl() override {
-    left_->Open();
-    right_->Open();
-    build_.clear();
-    Row row;
-    while (right_->Next(row)) {
-      std::vector<Value> key;
-      key.reserve(keys_.size());
-      for (const JoinKey& k : keys_) key.push_back(row[k.right_pos]);
-      build_[std::move(key)].push_back(row);
-    }
-    right_->Close();
-    matches_ = nullptr;
-    match_cursor_ = 0;
-  }
-
-  bool NextImpl(Row& row) override {
-    while (true) {
-      if (matches_ != nullptr && match_cursor_ < matches_->size()) {
-        const Row& inner = (*matches_)[match_cursor_++];
-        row.clear();
-        row.reserve(outer_row_.size() + inner.size());
-        row.insert(row.end(), outer_row_.begin(), outer_row_.end());
-        row.insert(row.end(), inner.begin(), inner.end());
-        ++rows_produced_;
-        return true;
-      }
-      matches_ = nullptr;
-      if (!left_->Next(outer_row_)) return false;
-      std::vector<Value> key;
-      key.reserve(keys_.size());
-      for (const JoinKey& k : keys_) key.push_back(outer_row_[k.left_pos]);
-      const auto it = build_.find(key);
-      if (it != build_.end()) {
-        matches_ = &it->second;
-        match_cursor_ = 0;
-      }
-    }
-  }
-
-  void CloseImpl() override {
-    left_->Close();
-    build_.clear();
-  }
-
- private:
-  struct KeyHash {
-    size_t operator()(const std::vector<Value>& key) const {
-      size_t h = 0x9e3779b97f4a7c15ull;
-      for (const Value& v : key) {
-        h ^= v.Hash() + 0x9e3779b97f4a7c15ull + (h << 6);
-      }
-      return h;
-    }
-  };
-
-  std::unique_ptr<Operator> left_;
-  std::unique_ptr<Operator> right_;
-  std::vector<JoinKey> keys_;
-  std::unordered_map<std::vector<Value>, std::vector<Row>, KeyHash> build_;
-  Row outer_row_;
-  const std::vector<Row>* matches_ = nullptr;
-  size_t match_cursor_ = 0;
-};
 
 // ------------------------------------------------------------- Fixture
 
@@ -162,7 +67,7 @@ struct Fixture {
 
 // A 3-table chain T0 -a- T1 -b- T2 with a 50% filter on T0. Domain sizes
 // keep the join output around 8x the base rows — enough fan-out that probe
-// cost dominates, small enough that the tuple baseline finishes quickly.
+// cost dominates, small enough that every mode finishes quickly.
 Fixture MakeFixture(int64_t scale) {
   Fixture f;
   Rng rng(42);
@@ -194,38 +99,6 @@ Fixture MakeFixture(int64_t scale) {
   return f;
 }
 
-std::unique_ptr<Operator> ScanWithFilter(const Fixture& f, int table_index) {
-  const Table& table =
-      f.catalog.table(f.spec.tables[table_index].catalog_id);
-  std::unique_ptr<Operator> op =
-      std::make_unique<SeqScanOperator>(table, table_index);
-  std::vector<Predicate> local;
-  for (const Predicate& p : f.spec.predicates) {
-    if (p.kind != Predicate::Kind::kJoin && p.left.table == table_index) {
-      local.push_back(p);
-    }
-  }
-  if (!local.empty()) {
-    op = std::make_unique<FilterOperator>(std::move(op), std::move(local));
-  }
-  return op;
-}
-
-// The seed baseline tree: scan(T0)+filter ⨝ scan(T1) ⨝ scan(T2), with the
-// pre-refactor hash join at both levels.
-std::unique_ptr<Operator> MakeSeedTree(const Fixture& f) {
-  std::vector<Predicate> joins;
-  for (const Predicate& p : f.spec.predicates) {
-    if (p.kind == Predicate::Kind::kJoin) joins.push_back(p);
-  }
-  auto root = std::make_unique<SeedHashJoinOperator>(
-      ScanWithFilter(f, 0), ScanWithFilter(f, 1),
-      std::vector<Predicate>{joins[0]});
-  return std::make_unique<SeedHashJoinOperator>(
-      std::move(root), ScanWithFilter(f, 2),
-      std::vector<Predicate>{joins[1]});
-}
-
 std::unique_ptr<Operator> MakeFlatTree(const Fixture& f,
                                        bool specialize_kernels) {
   const std::unique_ptr<PlanNode> plan = CanonicalSafePlan(f.spec);
@@ -235,15 +108,6 @@ std::unique_ptr<Operator> MakeFlatTree(const Fixture& f,
                           nullptr, options);
   JOINEST_CHECK(root.ok()) << root.status();
   return std::move(*root);
-}
-
-int64_t DrainTupleCount(Operator& op) {
-  op.Open();
-  Row row;
-  int64_t count = 0;
-  while (op.Next(row)) ++count;
-  op.Close();
-  return count;
 }
 
 int64_t DrainBatchCount(Operator& op) {
@@ -313,18 +177,10 @@ int main(int argc, char** argv) {
   const Fixture f = MakeFixture(scale);
 
   std::printf("== executor throughput: %lld base rows, %d threads%s ==\n",
-              static_cast<long long>(f.total_rows), NumExecutorThreads(),
+              static_cast<long long>(f.total_rows), NumPoolThreads(),
               smoke ? " (smoke)" : "");
 
   std::vector<ModeResult> results;
-  results.push_back(TimeMode("seed_tuple", repeats, f.total_rows, [&] {
-    const auto tree = MakeSeedTree(f);
-    return DrainTupleCount(*tree);
-  }));
-  results.push_back(TimeMode("tuple", repeats, f.total_rows, [&] {
-    const auto tree = MakeFlatTree(f, /*specialize_kernels=*/true);
-    return DrainTupleCount(*tree);
-  }));
   results.push_back(TimeMode("batch_generic", repeats, f.total_rows, [&] {
     const auto tree = MakeFlatTree(f, /*specialize_kernels=*/false);
     return DrainBatchCount(*tree);
@@ -361,7 +217,7 @@ int main(int argc, char** argv) {
   // Core-count scaling sweep: the same pipeline pinned to K threads via a
   // private pool (K - 1 workers plus the calling thread).
   std::vector<int> sweep = {1, 2, 4};
-  const int hw = NumExecutorThreads();
+  const int hw = NumPoolThreads();
   if (hw > 4) sweep.push_back(hw);
   for (int k : sweep) {
     ThreadPool pool(k - 1);
@@ -379,11 +235,10 @@ int main(int argc, char** argv) {
   // Bit-identical results across every mode, or the numbers are noise.
   for (const ModeResult& r : results) {
     JOINEST_CHECK_EQ(r.count, results[0].count)
-        << r.mode << " diverges from seed_tuple";
+        << r.mode << " diverges from " << results[0].mode;
   }
 
-  const double seed_rate = results[0].rows_per_sec;
-  TablePrinter printer({"mode", "wall s", "rows/sec", "vs seed_tuple"});
+  TablePrinter printer({"mode", "wall s", "rows/sec"});
   char buf[64];
   for (const ModeResult& r : results) {
     std::vector<std::string> cells;
@@ -391,9 +246,6 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof buf, "%.4f", r.seconds);
     cells.push_back(buf);
     std::snprintf(buf, sizeof buf, "%.0f", r.rows_per_sec);
-    cells.push_back(buf);
-    std::snprintf(buf, sizeof buf, "%.2fx",
-                  seed_rate > 0 ? r.rows_per_sec / seed_rate : 0);
     cells.push_back(buf);
     printer.AddRow(std::move(cells));
   }
@@ -449,8 +301,6 @@ int main(int argc, char** argv) {
   for (const ModeResult& r : results) {
     mode_gauge("bench_executor_seconds", r.mode).Set(r.seconds);
     mode_gauge("bench_executor_rows_per_sec", r.mode).Set(r.rows_per_sec);
-    mode_gauge("bench_executor_speedup_vs_seed_tuple", r.mode)
-        .Set(seed_rate > 0 ? r.rows_per_sec / seed_rate : 0);
   }
   Gauge& count_gauge = registry.GetGauge(
       "bench_executor_count", "COUNT(*) agreed on by every mode");
@@ -475,7 +325,7 @@ int main(int argc, char** argv) {
   json.Key("total_rows");
   json.Int(f.total_rows);
   json.Key("threads");
-  json.Int(NumExecutorThreads());
+  json.Int(NumPoolThreads());
   json.Key("repeats");
   json.Int(repeats);
   json.Key("count");
@@ -494,9 +344,6 @@ int main(int argc, char** argv) {
     json.Number(mode_gauge("bench_executor_seconds", r.mode).Value());
     json.Key("rows_per_sec");
     json.Number(mode_gauge("bench_executor_rows_per_sec", r.mode).Value());
-    json.Key("speedup_vs_seed_tuple");
-    json.Number(
-        mode_gauge("bench_executor_speedup_vs_seed_tuple", r.mode).Value());
     json.EndObject();
   }
   json.EndArray();

@@ -165,7 +165,7 @@ class TaskGroup {
 
 // Worker-thread budget for the process: JOINEST_THREADS when set to a
 // positive integer (deterministic CI), otherwise hardware_concurrency();
-// always at least 1. The executor's NumExecutorThreads() is an alias.
+// always at least 1. The executor's morsel workers size from it too.
 int NumPoolThreads();
 
 // The process-wide pool every subsystem shares, sized NumPoolThreads() - 1

@@ -48,6 +48,23 @@ bool KeysMatch(const Row& left, const Row& right,
   return true;
 }
 
+// Opens `op`, moves its whole output into `rows` batch by batch, and closes
+// it: the materialisation step of the hash, block-nested-loop and
+// sort-merge joins. Moving steals a slot's storage; the child re-fills
+// moved-from slots on its next refill, so this only trades the per-value
+// copy for one allocation the copy would have paid anyway.
+void DrainRows(Operator& op, std::vector<Row>& rows) {
+  op.Open();
+  rows.clear();
+  RowBatch batch;
+  while (op.NextBatch(batch)) {
+    for (int i = 0; i < batch.size(); ++i) {
+      rows.push_back(std::move(batch.row(i)));
+    }
+  }
+  op.Close();
+}
+
 void ConcatRows(Row& out, const Row& left, const Row& right) {
   out.clear();
   out.reserve(left.size() + right.size());
@@ -80,30 +97,42 @@ NestedLoopJoinOperator::NestedLoopJoinOperator(
 
 void NestedLoopJoinOperator::OpenImpl() {
   left_->Open();
-  outer_valid_ = false;
+  outer_.Reset();
   inner_open_ = false;
 }
 
-bool NestedLoopJoinOperator::NextImpl(Row& row) {
-  Row inner;
-  while (true) {
-    if (!outer_valid_) {
-      if (!left_->Next(outer_row_)) return false;
-      outer_valid_ = true;
+bool NestedLoopJoinOperator::NextBatchImpl(RowBatch& batch) {
+  batch.Clear();
+  while (!batch.full()) {
+    const Row* outer = outer_.Current(*left_);
+    if (outer == nullptr) break;
+    if (!inner_open_) {
       right_->Open();  // Full inner re-scan per outer row.
       inner_open_ = true;
+      inner_.Clear();
+      inner_pos_ = 0;
     }
-    while (right_->Next(inner)) {
-      if (KeysMatch(outer_row_, inner, keys_)) {
-        ConcatRows(row, outer_row_, inner);
+    bool inner_done = false;
+    while (!batch.full()) {
+      if (inner_pos_ == inner_.size()) {
+        if (!right_->NextBatch(inner_)) {
+          inner_done = true;
+          break;
+        }
+        inner_pos_ = 0;
+      }
+      const Row& inner = inner_.row(inner_pos_++);
+      if (KeysMatch(*outer, inner, keys_)) {
+        ConcatRows(batch.AppendSlot(), *outer, inner);
         ++rows_produced_;
-        return true;
       }
     }
+    if (!inner_done) break;  // Output full; resume this inner scan next call.
     right_->Close();
     inner_open_ = false;
-    outer_valid_ = false;
+    outer_.Advance();
   }
+  return !batch.empty();
 }
 
 void NestedLoopJoinOperator::CloseImpl() {
@@ -126,32 +155,28 @@ BlockNestedLoopJoinOperator::BlockNestedLoopJoinOperator(
 
 void BlockNestedLoopJoinOperator::OpenImpl() {
   left_->Open();
-  right_->Open();
-  inner_.clear();
-  Row row;
-  while (right_->Next(row)) inner_.push_back(row);
-  right_->Close();
-  outer_valid_ = false;
+  DrainRows(*right_, inner_);
+  outer_.Reset();
   inner_cursor_ = 0;
 }
 
-bool BlockNestedLoopJoinOperator::NextImpl(Row& row) {
-  while (true) {
-    if (!outer_valid_) {
-      if (!left_->Next(outer_row_)) return false;
-      outer_valid_ = true;
-      inner_cursor_ = 0;
-    }
-    while (inner_cursor_ < inner_.size()) {
+bool BlockNestedLoopJoinOperator::NextBatchImpl(RowBatch& batch) {
+  batch.Clear();
+  while (!batch.full()) {
+    const Row* outer = outer_.Current(*left_);
+    if (outer == nullptr) break;
+    while (inner_cursor_ < inner_.size() && !batch.full()) {
       const Row& inner = inner_[inner_cursor_++];
-      if (KeysMatch(outer_row_, inner, keys_)) {
-        ConcatRows(row, outer_row_, inner);
+      if (KeysMatch(*outer, inner, keys_)) {
+        ConcatRows(batch.AppendSlot(), *outer, inner);
         ++rows_produced_;
-        return true;
       }
     }
-    outer_valid_ = false;
+    if (inner_cursor_ < inner_.size()) break;  // Output full mid-row.
+    outer_.Advance();
+    inner_cursor_ = 0;
   }
+  return !batch.empty();
 }
 
 void BlockNestedLoopJoinOperator::CloseImpl() {
@@ -201,18 +226,8 @@ void HashJoinOperator::Specialize(const std::vector<TypeKind>& left_types,
 
 void HashJoinOperator::OpenImpl() {
   left_->Open();
-  right_->Open();
   std::vector<Row> build_rows;
-  RowBatch batch;
-  while (right_->NextBatch(batch)) {
-    for (int i = 0; i < batch.size(); ++i) {
-      // Moving steals the slot's storage; the child re-fills moved-from
-      // slots on the next refill, so this only trades the per-value copy
-      // for one allocation the copy would have paid anyway.
-      build_rows.push_back(std::move(batch.row(i)));
-    }
-  }
-  right_->Close();
+  DrainRows(*right_, build_rows);
   {
     Span span("HashJoin::build");
     table_ = std::make_unique<JoinHashTable>(std::move(build_rows),
@@ -241,25 +256,10 @@ void HashJoinOperator::OpenImpl() {
   use_fast_probe_ = int64_key_ && table_->fast_path();
   if (all_int64_) table_->BuildIntPayload();
   use_int_payload_ = all_int64_ && table_->has_int_payload();
-  matches_ = JoinHashTable::Span{};
-  match_cursor_ = 0;
   input_valid_ = false;
   input_pos_ = 0;
   batch_matches_ = JoinHashTable::Span{};
   batch_match_cursor_ = 0;
-}
-
-bool HashJoinOperator::NextImpl(Row& row) {
-  while (true) {
-    if (match_cursor_ < matches_.size) {
-      ConcatRows(row, outer_row_, table_->row(matches_.data[match_cursor_++]));
-      ++rows_produced_;
-      return true;
-    }
-    if (!left_->Next(outer_row_)) return false;
-    matches_ = table_->Probe(outer_row_, probe_positions_, scratch_);
-    match_cursor_ = 0;
-  }
 }
 
 bool HashJoinOperator::NextBatchImpl(RowBatch& batch) {
@@ -426,15 +426,8 @@ int CompareKeys(const Row& left, const Row& right,
 }  // namespace
 
 void SortMergeJoinOperator::OpenImpl() {
-  auto drain = [](Operator& op, std::vector<Row>& out) {
-    op.Open();
-    out.clear();
-    Row row;
-    while (op.Next(row)) out.push_back(row);
-    op.Close();
-  };
-  drain(*left_, left_rows_);
-  drain(*right_, right_rows_);
+  DrainRows(*left_, left_rows_);
+  DrainRows(*right_, right_rows_);
   std::sort(left_rows_.begin(), left_rows_.end(),
             [this](const Row& a, const Row& b) {
               for (const JoinKey& k : keys_) {
@@ -455,24 +448,27 @@ void SortMergeJoinOperator::OpenImpl() {
   in_group_ = false;
 }
 
-bool SortMergeJoinOperator::NextImpl(Row& row) {
-  while (true) {
+bool SortMergeJoinOperator::NextBatchImpl(RowBatch& batch) {
+  batch.Clear();
+  while (!batch.full()) {
     if (in_group_) {
-      if (lcur_ < lg_) {
-        ConcatRows(row, left_rows_[lcur_], right_rows_[rcur_]);
+      // Emit the group's cross product, resuming where the last batch
+      // stopped.
+      while (lcur_ < lg_ && !batch.full()) {
+        ConcatRows(batch.AppendSlot(), left_rows_[lcur_], right_rows_[rcur_]);
         ++rows_produced_;
         if (++rcur_ >= rg_) {
           rcur_ = ri_;
           ++lcur_;
         }
-        return true;
       }
+      if (lcur_ < lg_) break;
       // Group exhausted; move past it.
       li_ = lg_;
       ri_ = rg_;
       in_group_ = false;
     }
-    if (li_ >= left_rows_.size() || ri_ >= right_rows_.size()) return false;
+    if (li_ >= left_rows_.size() || ri_ >= right_rows_.size()) break;
     const int cmp = CompareKeys(left_rows_[li_], right_rows_[ri_], keys_);
     if (cmp < 0) {
       ++li_;
@@ -497,6 +493,7 @@ bool SortMergeJoinOperator::NextImpl(Row& row) {
     rcur_ = ri_;
     in_group_ = true;
   }
+  return !batch.empty();
 }
 
 void SortMergeJoinOperator::CloseImpl() {
@@ -547,13 +544,15 @@ IndexNestedLoopJoinOperator::IndexNestedLoopJoinOperator(
 void IndexNestedLoopJoinOperator::OpenImpl() {
   outer_->Open();
   index_ = std::make_unique<HashIndex>(inner_table_, inner_key_col_);
+  outer_rows_.Reset();
   probe_ = nullptr;
   probe_cursor_ = 0;
 }
 
-bool IndexNestedLoopJoinOperator::InnerRowPasses(int64_t inner_row) const {
+bool IndexNestedLoopJoinOperator::InnerRowPasses(const Row& outer,
+                                                 int64_t inner_row) const {
   for (const auto& [outer_pos, inner_col] : residual_keys_) {
-    if (!(outer_row_[outer_pos] == inner_table_.at(inner_row, inner_col))) {
+    if (!(outer[outer_pos] == inner_table_.at(inner_row, inner_col))) {
       return false;
     }
   }
@@ -567,33 +566,37 @@ bool IndexNestedLoopJoinOperator::InnerRowPasses(int64_t inner_row) const {
   return true;
 }
 
-void IndexNestedLoopJoinOperator::EmitJoined(Row& out,
+void IndexNestedLoopJoinOperator::EmitJoined(Row& out, const Row& outer,
                                              int64_t inner_row) const {
   out.clear();
-  out.reserve(outer_row_.size() + inner_table_.num_columns());
-  out.insert(out.end(), outer_row_.begin(), outer_row_.end());
+  out.reserve(outer.size() + inner_table_.num_columns());
+  out.insert(out.end(), outer.begin(), outer.end());
   for (int c = 0; c < inner_table_.num_columns(); ++c) {
     out.push_back(inner_table_.at(inner_row, c));
   }
 }
 
-bool IndexNestedLoopJoinOperator::NextImpl(Row& row) {
-  while (true) {
-    if (probe_ != nullptr) {
-      while (probe_cursor_ < probe_->size()) {
-        const int64_t inner_row = (*probe_)[probe_cursor_++];
-        if (InnerRowPasses(inner_row)) {
-          EmitJoined(row, inner_row);
-          ++rows_produced_;
-          return true;
-        }
-      }
-      probe_ = nullptr;
+bool IndexNestedLoopJoinOperator::NextBatchImpl(RowBatch& batch) {
+  batch.Clear();
+  while (!batch.full()) {
+    const Row* outer = outer_rows_.Current(*outer_);
+    if (outer == nullptr) break;
+    if (probe_ == nullptr) {
+      probe_ = &index_->Lookup((*outer)[outer_key_pos_]);
+      probe_cursor_ = 0;
     }
-    if (!outer_->Next(outer_row_)) return false;
-    probe_ = &index_->Lookup(outer_row_[outer_key_pos_]);
-    probe_cursor_ = 0;
+    while (probe_cursor_ < probe_->size() && !batch.full()) {
+      const int64_t inner_row = (*probe_)[probe_cursor_++];
+      if (InnerRowPasses(*outer, inner_row)) {
+        EmitJoined(batch.AppendSlot(), *outer, inner_row);
+        ++rows_produced_;
+      }
+    }
+    if (probe_cursor_ < probe_->size()) break;  // Output full mid-row.
+    probe_ = nullptr;
+    outer_rows_.Advance();
   }
+  return !batch.empty();
 }
 
 void IndexNestedLoopJoinOperator::CloseImpl() {

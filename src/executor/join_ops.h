@@ -7,7 +7,9 @@
 //
 // All joins are equi-joins over one or more key pairs (the only join
 // predicates the query model admits). Output layout is the concatenation of
-// the left and right child layouts.
+// the left and right child layouts. Every join fills its output batch
+// natively and resumes a match run (or cross product) that overflows one
+// batch on the next call.
 
 #ifndef JOINEST_EXECUTOR_JOIN_OPS_H_
 #define JOINEST_EXECUTOR_JOIN_OPS_H_
@@ -36,12 +38,37 @@ std::vector<JoinKey> ResolveJoinKeys(const std::vector<ColumnRef>& left,
                                      const std::vector<ColumnRef>& right,
                                      const std::vector<Predicate>& predicates);
 
+// Walks a child's output one row at a time across batch refills: the outer
+// side of the nested-loop joins, which may stop mid-row when their output
+// batch fills and pick the same row up on the next call.
+class OuterCursor {
+ public:
+  void Reset() {
+    batch_.Clear();
+    pos_ = 0;
+  }
+  // The current outer row, refilling from `child` once the batch is used
+  // up; nullptr when the child is exhausted.
+  const Row* Current(Operator& child) {
+    while (pos_ >= batch_.size()) {
+      if (!child.NextBatch(batch_)) return nullptr;
+      pos_ = 0;
+    }
+    return &batch_.row(pos_);
+  }
+  void Advance() { ++pos_; }
+
+ private:
+  RowBatch batch_;
+  int pos_ = 0;
+};
+
 // Naive tuple nested loops: the right (inner) input is re-opened and fully
-// re-scanned for every outer row — the classic method whose true cost is
-// |outer| × scan(inner). This is exactly the join a misled optimizer
-// believes is free when it estimates |outer| ≈ 0, which is how the §8
-// experiment's bad plans lose: a hundred real outer rows each re-scan a
-// 100k-row table the optimizer thought would never be touched.
+// re-scanned for every outer row (not once per outer batch) — the classic
+// method whose true cost is |outer| × scan(inner). This is exactly the join
+// a misled optimizer believes is free when it estimates |outer| ≈ 0, which
+// is how the §8 experiment's bad plans lose: a hundred real outer rows each
+// re-scan a 100k-row table the optimizer thought would never be touched.
 class NestedLoopJoinOperator : public Operator {
  public:
   NestedLoopJoinOperator(std::unique_ptr<Operator> left,
@@ -52,15 +79,18 @@ class NestedLoopJoinOperator : public Operator {
 
  protected:
   void OpenImpl() override;
-  bool NextImpl(Row& row) override;
+  bool NextBatchImpl(RowBatch& batch) override;
   void CloseImpl() override;
 
  private:
   std::unique_ptr<Operator> left_;
   std::unique_ptr<Operator> right_;
   std::vector<JoinKey> keys_;
-  Row outer_row_;
-  bool outer_valid_ = false;
+  OuterCursor outer_;
+  // The current outer row's inner scan: open from the row's first inner
+  // batch until the inner is exhausted.
+  RowBatch inner_;
+  int inner_pos_ = 0;
   bool inner_open_ = false;
 };
 
@@ -78,7 +108,7 @@ class BlockNestedLoopJoinOperator : public Operator {
 
  protected:
   void OpenImpl() override;
-  bool NextImpl(Row& row) override;
+  bool NextBatchImpl(RowBatch& batch) override;
   void CloseImpl() override;
 
  private:
@@ -86,16 +116,15 @@ class BlockNestedLoopJoinOperator : public Operator {
   std::unique_ptr<Operator> right_;
   std::vector<JoinKey> keys_;
   std::vector<Row> inner_;
-  Row outer_row_;
-  bool outer_valid_ = false;
+  OuterCursor outer_;
   size_t inner_cursor_ = 0;
 };
 
 // Classic hash join: builds on the right input, probes with the left. The
 // build side is a JoinHashTable (flat open addressing, contiguous payload
 // spans, single-int64 fast path) instead of the former
-// unordered_map<vector<Value>, vector<Row>>; probes allocate nothing. The
-// batch path probes a whole left batch per call.
+// unordered_map<vector<Value>, vector<Row>>; probes allocate nothing. Each
+// call probes the rows of a left batch.
 class HashJoinOperator : public Operator {
  public:
   HashJoinOperator(std::unique_ptr<Operator> left,
@@ -110,8 +139,8 @@ class HashJoinOperator : public Operator {
   // canonicalisation or contract checks — and an all-int64 output layout
   // emits through native stores into resized slots instead of
   // clear+reinsert. Shapes the kernels decline (multi-column or mixed-type
-  // keys, string columns) keep the generic loops. The tuple path stays
-  // generic on purpose: it is the parity oracle.
+  // keys, string columns) keep the generic loops, which are also what
+  // CompileOptions{specialize_kernels = false} compiles to.
   void Specialize(const std::vector<TypeKind>& left_types,
                   const std::vector<TypeKind>& right_types);
 
@@ -119,7 +148,6 @@ class HashJoinOperator : public Operator {
 
  protected:
   void OpenImpl() override;
-  bool NextImpl(Row& row) override;
   bool NextBatchImpl(RowBatch& batch) override;
   void CloseImpl() override;
 
@@ -150,13 +178,8 @@ class HashJoinOperator : public Operator {
   // slots prefetched) once per refill.
   std::vector<int64_t> probe_keys_;
 
-  // Tuple-path probe state.
-  Row outer_row_;
-  JoinHashTable::Span matches_;
-  size_t match_cursor_ = 0;
-
-  // Batch-path probe state: position within the current input batch and
-  // within that row's match span.
+  // Probe state: position within the current input batch and within that
+  // row's match span.
   RowBatch input_;
   int input_pos_ = 0;
   JoinHashTable::Span batch_matches_;
@@ -178,7 +201,7 @@ class SortMergeJoinOperator : public Operator {
 
  protected:
   void OpenImpl() override;
-  bool NextImpl(Row& row) override;
+  bool NextBatchImpl(RowBatch& batch) override;
   void CloseImpl() override;
 
  private:
@@ -212,12 +235,12 @@ class IndexNestedLoopJoinOperator : public Operator {
 
  protected:
   void OpenImpl() override;
-  bool NextImpl(Row& row) override;
+  bool NextBatchImpl(RowBatch& batch) override;
   void CloseImpl() override;
 
  private:
-  bool InnerRowPasses(int64_t inner_row) const;
-  void EmitJoined(Row& out, int64_t inner_row) const;
+  bool InnerRowPasses(const Row& outer, int64_t inner_row) const;
+  void EmitJoined(Row& out, const Row& outer, int64_t inner_row) const;
 
   std::unique_ptr<Operator> outer_;
   const Table& inner_table_;
@@ -231,7 +254,8 @@ class IndexNestedLoopJoinOperator : public Operator {
   std::vector<std::pair<int, int>> residual_keys_;  // (outer pos, inner col)
 
   std::unique_ptr<HashIndex> index_;
-  Row outer_row_;
+  OuterCursor outer_rows_;
+  // Index matches of the current outer row; null until it is probed.
   const std::vector<int64_t>* probe_ = nullptr;
   size_t probe_cursor_ = 0;
 };

@@ -63,11 +63,6 @@ void Operator::Open() {
   OpenImpl();
 }
 
-bool Operator::Next(Row& row) {
-  TimerScope timer(this);
-  return NextImpl(row);
-}
-
 bool Operator::NextBatch(RowBatch& batch) {
   TimerScope timer(this);
   const bool more = NextBatchImpl(batch);
@@ -81,18 +76,6 @@ bool Operator::NextBatch(RowBatch& batch) {
 void Operator::Close() {
   TimerScope timer(this);
   CloseImpl();
-}
-
-bool Operator::NextBatchImpl(RowBatch& batch) {
-  batch.Clear();
-  while (!batch.full()) {
-    Row& slot = batch.AppendSlot();
-    if (!NextImpl(slot)) {
-      batch.PopSlot();
-      break;
-    }
-  }
-  return !batch.empty();
 }
 
 OperatorStats SnapshotOperatorStats(const Operator& op) {

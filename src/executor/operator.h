@@ -1,16 +1,12 @@
-// Operator interface: Volcano-style (Open/Next/Close) plus a batch path.
+// Operator interface: Open / NextBatch / Close.
 //
 // A row flowing between operators is a flat std::vector<Value>; which query
 // column each position holds is described by the operator's layout — a
 // vector of ColumnRef in output order. Operators resolve the columns their
-// predicates touch to positions once, at construction.
-//
-// Callers drive either interface:
-//  * Next(Row&)            — one row at a time (the original tuple loop);
-//  * NextBatch(RowBatch&)  — up to a batch of rows at a time. Operators
-//    without a native batch implementation inherit an adapter that fills
-//    the batch from NextImpl, so the two paths always agree; scans,
-//    filters and hash joins override it with vectorized versions.
+// predicates touch to positions once, at construction. Rows move between
+// operators a RowBatch (up to ~1024 rows) at a time; every operator
+// implements the batch hook natively, and there is no row-at-a-time entry
+// point.
 //
 // The public entry points are non-virtual wrappers that feed
 // rows_produced() and accumulate wall-clock into the operator — both
@@ -43,11 +39,10 @@ class Operator {
 
   // Prepares for iteration. May be called again after Close (rescan).
   void Open();
-  // Produces the next row into `row`; returns false when exhausted.
-  bool Next(Row& row);
   // Refills `batch` with up to batch.capacity() rows; returns false when
-  // the batch comes back empty (input exhausted). Callers should stick to
-  // one of Next/NextBatch per Open — both advance the same cursor.
+  // the batch comes back empty (input exhausted), and keeps returning false
+  // until the next Open. Slots may hold any earlier contents (including
+  // moved-from rows): implementations overwrite them in place.
   bool NextBatch(RowBatch& batch);
   void Close();
 
@@ -58,7 +53,7 @@ class Operator {
   virtual std::string name() const = 0;
   int64_t rows_produced() const { return rows_produced_; }
   // Inclusive wall-clock: this operator's wrapper time, children included
-  // (a parent's Next drives its children inside NextImpl).
+  // (a parent's NextBatch drives its children inside NextBatchImpl).
   double seconds() const { return seconds_; }
   // Exclusive (self) wall-clock: inclusive time minus the wrapper time of
   // the children driven while this operator was on top. The self times of
@@ -78,9 +73,7 @@ class Operator {
 
  protected:
   virtual void OpenImpl() = 0;
-  virtual bool NextImpl(Row& row) = 0;
-  // Default adapter: drains NextImpl into the batch.
-  virtual bool NextBatchImpl(RowBatch& batch);
+  virtual bool NextBatchImpl(RowBatch& batch) = 0;
   virtual void CloseImpl() = 0;
 
   std::vector<ColumnRef> layout_;

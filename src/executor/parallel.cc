@@ -16,8 +16,6 @@
 
 namespace joinest {
 
-int NumExecutorThreads() { return NumPoolThreads(); }
-
 namespace {
 
 // Local predicates of one table resolved to column positions, evaluated

@@ -13,7 +13,7 @@
 //      with the last level short-circuited to `count += span.size`), and
 //      accumulate a thread-local count;
 //   4. the per-thread counts are summed — addition commutes, so the result
-//      is bit-identical to the tuple path no matter the schedule.
+//      is bit-identical to the operator tree's count no matter the schedule.
 //
 // Work runs on the shared work-stealing pool (common/thread_pool.h) — no
 // thread is spawned per query. The level builds fan out as pool tasks too
@@ -33,12 +33,6 @@
 #include "storage/catalog.h"
 
 namespace joinest {
-
-// Worker count for morsel-parallel execution: JOINEST_THREADS when set to a
-// positive integer, otherwise hardware_concurrency; always at least 1.
-// (Forwards to NumPoolThreads — the executor and the shared pool size from
-// the same knob.)
-int NumExecutorThreads();
 
 // Rows per morsel handed to a worker.
 inline constexpr int64_t kMorselRows = 4096;

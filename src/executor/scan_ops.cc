@@ -28,14 +28,6 @@ void SeqScanOperator::Specialize() {
 
 void SeqScanOperator::OpenImpl() { cursor_ = range_.begin; }
 
-bool SeqScanOperator::NextImpl(Row& row) {
-  if (cursor_ >= range_.end) return false;
-  table_.CopyRowInto(cursor_, row);
-  ++cursor_;
-  ++rows_produced_;
-  return true;
-}
-
 bool SeqScanOperator::NextBatchImpl(RowBatch& batch) {
   batch.Clear();
   const int64_t take =
@@ -69,14 +61,6 @@ SelectionScanOperator::SelectionScanOperator(
 }
 
 void SelectionScanOperator::OpenImpl() { cursor_ = 0; }
-
-bool SelectionScanOperator::NextImpl(Row& row) {
-  if (cursor_ >= row_ids_->size()) return false;
-  table_.CopyRowInto((*row_ids_)[cursor_], row);
-  ++cursor_;
-  ++rows_produced_;
-  return true;
-}
 
 bool SelectionScanOperator::NextBatchImpl(RowBatch& batch) {
   batch.Clear();
@@ -138,16 +122,6 @@ bool FilterOperator::RowPasses(const Row& row) const {
   return EvalPredicatesRow(row, predicates_, left_pos_, right_pos_);
 }
 
-bool FilterOperator::NextImpl(Row& row) {
-  while (child_->Next(row)) {
-    if (RowPasses(row)) {
-      ++rows_produced_;
-      return true;
-    }
-  }
-  return false;
-}
-
 bool FilterOperator::NextBatchImpl(RowBatch& batch) {
   // The filter's layout equals the child's, so the child fills the caller's
   // batch directly and passing rows are compacted in place — no copies.
@@ -205,19 +179,23 @@ ProjectOperator::ProjectOperator(std::unique_ptr<Operator> child,
 
 void ProjectOperator::OpenImpl() { child_->Open(); }
 
-bool ProjectOperator::NextImpl(Row& row) {
-  Row input;
-  if (!child_->Next(input)) return false;
-  row.clear();
-  row.reserve(positions_.size());
-  if (has_duplicate_positions_) {
-    // A duplicated projection (SELECT S.a, S.a) must copy: moving would
-    // leave the second occurrence a moved-from Value.
-    for (int pos : positions_) row.push_back(input[pos]);
-  } else {
-    for (int pos : positions_) row.push_back(std::move(input[pos]));
+bool ProjectOperator::NextBatchImpl(RowBatch& batch) {
+  // The child fills the caller's batch; each row is rebuilt in the scratch
+  // row and swapped back, so the slots' storage keeps being reused.
+  if (!child_->NextBatch(batch)) return false;
+  for (int i = 0; i < batch.size(); ++i) {
+    Row& row = batch.row(i);
+    projected_.clear();
+    if (has_duplicate_positions_) {
+      // A duplicated projection (SELECT S.a, S.a) must copy: moving would
+      // leave the second occurrence a moved-from Value.
+      for (int pos : positions_) projected_.push_back(row[pos]);
+    } else {
+      for (int pos : positions_) projected_.push_back(std::move(row[pos]));
+    }
+    row.swap(projected_);
   }
-  ++rows_produced_;
+  rows_produced_ += batch.size();
   return true;
 }
 
@@ -233,10 +211,14 @@ void CountAggOperator::OpenImpl() {
   done_ = false;
 }
 
-bool CountAggOperator::NextImpl(Row& row) {
+bool CountAggOperator::NextBatchImpl(RowBatch& batch) {
+  batch.Clear();
   if (done_) return false;
+  // The caller's batch doubles as the drain buffer; the child leaves it
+  // empty once exhausted.
   int64_t count = 0;
-  while (child_->NextBatch(scratch_)) count += scratch_.size();
+  while (child_->NextBatch(batch)) count += batch.size();
+  Row& row = batch.AppendSlot();
   row.clear();
   row.push_back(Value(count));
   done_ = true;
@@ -267,7 +249,8 @@ void GroupCountOperator::OpenImpl() {
   cursor_ = 0;
 }
 
-bool GroupCountOperator::NextImpl(Row& row) {
+bool GroupCountOperator::NextBatchImpl(RowBatch& batch) {
+  batch.Clear();
   if (!aggregated_) {
     struct KeyHash {
       size_t operator()(const Row& key) const {
@@ -280,9 +263,11 @@ bool GroupCountOperator::NextImpl(Row& row) {
     };
     std::unordered_map<Row, int64_t, KeyHash> groups;
     Row key;
-    while (child_->NextBatch(scratch_)) {
-      for (int i = 0; i < scratch_.size(); ++i) {
-        const Row& input = scratch_.row(i);
+    // The caller's batch doubles as the drain buffer; the child leaves it
+    // empty once exhausted.
+    while (child_->NextBatch(batch)) {
+      for (int i = 0; i < batch.size(); ++i) {
+        const Row& input = batch.row(i);
         key.clear();
         key.reserve(positions_.size());
         for (int pos : positions_) key.push_back(input[pos]);
@@ -297,10 +282,11 @@ bool GroupCountOperator::NextImpl(Row& row) {
     }
     aggregated_ = true;
   }
-  if (cursor_ >= results_.size()) return false;
-  row = results_[cursor_++];
-  ++rows_produced_;
-  return true;
+  while (!batch.full() && cursor_ < results_.size()) {
+    batch.AppendSlot() = std::move(results_[cursor_++]);
+    ++rows_produced_;
+  }
+  return !batch.empty();
 }
 
 void GroupCountOperator::CloseImpl() {

@@ -1,9 +1,8 @@
 // Leaf and unary operators: sequential scan, filter, projection, COUNT(*).
 //
-// SeqScan and Filter implement the batch interface natively (column-to-slot
-// copies and in-place compaction); CountAgg and GroupCount drain their
-// child batch-at-a-time, so a plan topped with COUNT(*) runs the vectorized
-// path end to end.
+// Scans copy column values into batch slots, Filter and Project rewrite the
+// child's batch in place, and CountAgg and GroupCount drain their child
+// batch-at-a-time.
 
 #ifndef JOINEST_EXECUTOR_SCAN_OPS_H_
 #define JOINEST_EXECUTOR_SCAN_OPS_H_
@@ -59,7 +58,6 @@ class SeqScanOperator : public Operator {
 
  protected:
   void OpenImpl() override;
-  bool NextImpl(Row& row) override;
   bool NextBatchImpl(RowBatch& batch) override;
   void CloseImpl() override;
 
@@ -86,7 +84,6 @@ class SelectionScanOperator : public Operator {
 
  protected:
   void OpenImpl() override;
-  bool NextImpl(Row& row) override;
   bool NextBatchImpl(RowBatch& batch) override;
   void CloseImpl() override;
 
@@ -110,16 +107,14 @@ class FilterOperator : public Operator {
   // Lowers the predicate list against the child layout's column types:
   // predicates whose operand types fit a typed kernel run column-at-a-time
   // through EvalCompiledPredicates; any remainder stays on the generic row
-  // path. The tuple path (NextImpl) is left generic on purpose — it is the
-  // parity oracle the batch kernels are tested against. Called once at
-  // CompilePlan time.
+  // path. Called once at CompilePlan time; without it the whole conjunction
+  // runs generic (CompileOptions{specialize_kernels = false}).
   void Specialize(const std::vector<TypeKind>& child_types);
 
   bool specialized() const override { return specialized_; }
 
  protected:
   void OpenImpl() override;
-  bool NextImpl(Row& row) override;
   bool NextBatchImpl(RowBatch& batch) override;
   void CloseImpl() override;
 
@@ -142,7 +137,8 @@ class FilterOperator : public Operator {
   std::vector<int> generic_right_pos_;
 };
 
-// Projects child rows onto a subset of columns.
+// Projects child rows onto a subset of columns, in place in the child's
+// batch.
 class ProjectOperator : public Operator {
  public:
   ProjectOperator(std::unique_ptr<Operator> child,
@@ -152,12 +148,13 @@ class ProjectOperator : public Operator {
 
  protected:
   void OpenImpl() override;
-  bool NextImpl(Row& row) override;
+  bool NextBatchImpl(RowBatch& batch) override;
   void CloseImpl() override;
 
  private:
   std::unique_ptr<Operator> child_;
   std::vector<int> positions_;
+  Row projected_;  // Scratch row swapped with each input row.
   // True when some child position is projected more than once (e.g.
   // SELECT S.a, S.a); the move fast path would leave later occurrences
   // reading a moved-from Value.
@@ -173,17 +170,16 @@ class CountAggOperator : public Operator {
 
  protected:
   void OpenImpl() override;
-  bool NextImpl(Row& row) override;
+  bool NextBatchImpl(RowBatch& batch) override;
   void CloseImpl() override;
 
  private:
   std::unique_ptr<Operator> child_;
-  RowBatch scratch_;
   bool done_ = false;
 };
 
 // Hash aggregation: GROUP BY <columns> with COUNT(*). Consumes the child on
-// the first Next, then emits one row per group — the group key values
+// the first NextBatch, then emits one row per group — the group key values
 // followed by the group's count. Output order is unspecified.
 class GroupCountOperator : public Operator {
  public:
@@ -194,13 +190,12 @@ class GroupCountOperator : public Operator {
 
  protected:
   void OpenImpl() override;
-  bool NextImpl(Row& row) override;
+  bool NextBatchImpl(RowBatch& batch) override;
   void CloseImpl() override;
 
  private:
   std::unique_ptr<Operator> child_;
   std::vector<int> positions_;
-  RowBatch scratch_;
   bool aggregated_ = false;
   std::vector<Row> results_;
   size_t cursor_ = 0;

@@ -66,7 +66,6 @@
   X(bench_executor_parallel_efficiency_4t)                                   \
   X(bench_executor_rows_per_sec)            /* label: mode= */               \
   X(bench_executor_seconds)                                                  \
-  X(bench_executor_speedup_vs_seed_tuple)                                    \
   X(bench_feedback_convergence_ratio)                                        \
   X(bench_feedback_p95_qerror)              /* label: pass= */               \
   X(bench_feedback_queries_per_sec)                                          \

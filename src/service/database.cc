@@ -42,15 +42,7 @@ Status ValidateAnalyzeOptions(const AnalyzeOptions& options) {
   return Status::OK();
 }
 
-Status ValidateEstimationOptions(const EstimationOptions& options) {
-  // Every combination of the estimation knobs is currently meaningful; the
-  // hook exists so later knobs get a single validation point.
-  (void)options;
-  return Status::OK();
-}
-
 Status ValidateOptimizerOptions(const OptimizerOptions& options) {
-  JOINEST_RETURN_IF_ERROR(ValidateEstimationOptions(options.estimation));
   if (options.methods.empty()) {
     return InvalidArgument("optimizer: the join-method list must not be "
                            "empty");
@@ -152,11 +144,6 @@ Session::Options& Session::Options::set_capture_trace(bool capture) {
 Session::Options& Session::Options::set_with_true_cardinalities(
     bool with_true) {
   with_true_cardinalities_ = with_true;
-  return *this;
-}
-
-Session::Options& Session::Options::set_predicate_transfer(bool enabled) {
-  features_.runtime_selectivities = enabled;
   return *this;
 }
 
@@ -523,20 +510,16 @@ StatusOr<PlannedQuery> Session::Optimize(const std::string& sql) const {
 
 namespace {
 
-// Copies the predicate-transfer and kernel-selection evidence into a record.
-void FillRuntimeFields(const PtResult* pt, const ExecutionResult& execution,
-                       QueryRecord& record) {
-  if (pt != nullptr) {
-    record.pt_seconds = pt->seconds;
-    record.pt_rows_pruned = static_cast<double>(pt->rows_pruned());
-    record.pt_filters.reserve(pt->filters.size());
-    for (const PtFilterStats& f : pt->filters) {
-      record.pt_filters.push_back(
-          QueryRecord::PtFilter{f.table_name, f.column_name, f.pass_rate});
-    }
+// Copies the predicate-transfer evidence (if transfer ran) into a record.
+void FillPtFields(const PtResult* pt, QueryRecord& record) {
+  if (pt == nullptr) return;
+  record.pt_seconds = pt->seconds;
+  record.pt_rows_pruned = static_cast<double>(pt->rows_pruned());
+  record.pt_filters.reserve(pt->filters.size());
+  for (const PtFilterStats& f : pt->filters) {
+    record.pt_filters.push_back(
+        QueryRecord::PtFilter{f.table_name, f.column_name, f.pass_rate});
   }
-  record.operators_total = execution.operators_total;
-  record.kernels_specialized = execution.kernels_specialized;
 }
 
 // Bitmask covering every query-local table.
@@ -593,8 +576,9 @@ StatusOr<ExecuteResult> Session::Execute(const PreparedQuery& prepared) const {
         for (QueryRecord::RuleEstimate& rule : record.per_rule) {
           rule.q_error = QErrorValue(rule.rows, actual);
         }
-        FillRuntimeFields(result.predicate_transfer.get(), result.execution,
-                          record);
+        FillPtFields(result.predicate_transfer.get(), record);
+        record.operators_total = result.execution.operators_total;
+        record.kernels_specialized = result.execution.kernels_specialized;
         record.estimate_seconds = estimate_seconds;
         record.execute_seconds = result.execution.seconds;
         record.total_seconds =
@@ -699,15 +683,7 @@ StatusOr<ExplainAnalyzeReport> Session::ExplainAnalyze(
               level.est_m, level.est_ss, level.q_ls, level.q_m, level.q_ss,
               prefixes[k]});
         }
-        if (pt != nullptr) {
-          record.pt_seconds = pt->seconds;
-          record.pt_rows_pruned = static_cast<double>(pt->rows_pruned());
-          record.pt_filters.reserve(pt->filters.size());
-          for (const PtFilterStats& f : pt->filters) {
-            record.pt_filters.push_back(QueryRecord::PtFilter{
-                f.table_name, f.column_name, f.pass_rate});
-          }
-        }
+        FillPtFields(pt.get(), record);
         record.estimate_seconds = estimate_seconds;
         record.execute_seconds = report.seconds;
         record.total_seconds = record.estimate_seconds + record.pt_seconds +

@@ -93,7 +93,6 @@ class Session;
 // Options::Validate() compose them, and direct users of the lower layers
 // can call them too.
 Status ValidateAnalyzeOptions(const AnalyzeOptions& options);
-Status ValidateEstimationOptions(const EstimationOptions& options);
 Status ValidateOptimizerOptions(const OptimizerOptions& options);
 
 // A parsed query pinned to the catalog snapshot it was resolved against.
@@ -210,14 +209,6 @@ class Session {
     // ExplainAnalyze: run the counting sub-queries that provide exact
     // per-join-level cardinalities (expensive on big data).
     Options& set_with_true_cardinalities(bool with_true);
-    // DEPRECATED shim for features().runtime_selectivities — predicate
-    // transfer (src/pt/): Execute/ExplainAnalyze run a Bloom-filter
-    // semi-join reduction before the plan, scans are restricted to
-    // surviving rows, and the observed pass rates feed the database's
-    // RuntimeSelectivityStore, which Estimate/Optimize then consult.
-    // Default off — the paper-faithful pipeline. New code:
-    // set_features(EstimatorFeatures{.runtime_selectivities = true}).
-    Options& set_predicate_transfer(bool enabled);
 
     const EstimationOptions& estimation() const {
       return optimizer_.estimation;
@@ -431,7 +422,7 @@ class Database {
   // Observed predicate-transfer selectivities, shared by every session of
   // this database (keyed by catalog table name, so observations transfer
   // across queries). Estimation consults it only in sessions with
-  // set_predicate_transfer(true).
+  // EstimatorFeatures::runtime_selectivities.
   RuntimeSelectivityStore& runtime_selectivities() const {
     return *runtime_selectivities_;
   }

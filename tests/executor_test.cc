@@ -18,12 +18,14 @@ namespace {
 
 Value V(int64_t v) { return Value(v); }
 
-// Drains an operator and returns all produced rows.
+// Drains an operator batch by batch and returns all produced rows.
 std::vector<Row> Drain(Operator& op) {
   op.Open();
   std::vector<Row> rows;
-  Row row;
-  while (op.Next(row)) rows.push_back(row);
+  RowBatch batch;
+  while (op.NextBatch(batch)) {
+    for (int i = 0; i < batch.size(); ++i) rows.push_back(batch.row(i));
+  }
   op.Close();
   return rows;
 }
@@ -259,6 +261,25 @@ TEST_P(JoinOperatorTest, MatchesBruteForce) {
                        {Predicate::Join(ColumnRef{0, 0}, ColumnRef{1, 0})});
   EXPECT_EQ(static_cast<int64_t>(Drain(*join).size()),
             BruteForceJoinSize(a, b));
+}
+
+// One outer row matches more inner rows than fit in a RowBatch, so every
+// method has to stop mid-match and resume on the next refill.
+TEST_P(JoinOperatorTest, MatchRunSpansBatches) {
+  std::vector<int64_t> b;
+  for (int64_t i = 0; i < 3 * kDefaultBatchRows; ++i) {
+    b.push_back(i % 3 == 0 ? 6 : 5);  // 5 matches 2048 rows, 6 matches 1024.
+  }
+  const std::vector<int64_t> a = {6, 5, 9};
+  Table left = MakeTable("a", a);
+  Table right = MakeTable("b", b);
+  auto join = MakeJoin(left, right,
+                       {Predicate::Join(ColumnRef{0, 0}, ColumnRef{1, 0})});
+  const std::vector<Row> rows = Drain(*join);
+  EXPECT_EQ(static_cast<int64_t>(rows.size()), BruteForceJoinSize(a, b));
+  for (const Row& row : rows) EXPECT_EQ(row[0], row[1]);
+  EXPECT_GT(join->batches(), 2);
+  EXPECT_EQ(join->rows_produced(), static_cast<int64_t>(rows.size()));
 }
 
 TEST_P(JoinOperatorTest, NoMatches) {
@@ -542,19 +563,16 @@ TEST_F(ExecuteTest, AllJoinMethodsAgree) {
 
 // ---------------------------------------------------------------- RowBatch
 
-TEST(RowBatchTest, AppendPopAndClear) {
+TEST(RowBatchTest, AppendAndClear) {
   RowBatch batch(4);
   EXPECT_TRUE(batch.empty());
   EXPECT_EQ(batch.capacity(), 4);
   batch.AppendSlot() = {V(1)};
-  batch.AppendSlot() = {V(2)};
-  EXPECT_EQ(batch.size(), 2);
-  batch.PopSlot();
   EXPECT_EQ(batch.size(), 1);
   EXPECT_EQ(batch.row(0)[0].AsInt64(), 1);
+  batch.AppendSlot() = {V(2)};
   batch.AppendSlot() = {V(3)};
   batch.AppendSlot() = {V(4)};
-  batch.AppendSlot() = {V(5)};
   EXPECT_TRUE(batch.full());
   batch.Clear();
   EXPECT_TRUE(batch.empty());

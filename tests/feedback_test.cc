@@ -374,14 +374,10 @@ TEST(EstimatorFeaturesApi, SessionOptionsKeepBothViewsInSync) {
   options.set_estimation(estimation);
   EXPECT_FALSE(options.features().transitive_closure);
 
-  // The deprecated predicate-transfer shim reads/writes the feature set.
-  options.set_predicate_transfer(true);
-  EXPECT_TRUE(options.features().runtime_selectivities);
-  EXPECT_TRUE(options.predicate_transfer());
-  EstimatorFeatures off = options.features();
-  off.runtime_selectivities = false;
-  options.set_features(off);
-  EXPECT_FALSE(options.predicate_transfer());
+  // predicate_transfer() reads features().runtime_selectivities.
+  EstimatorFeatures transfer = options.features();
+  transfer.runtime_selectivities = true;
+  EXPECT_TRUE(options.set_features(transfer).predicate_transfer());
 }
 
 TEST(EstimatorFeaturesApi, CreateSessionValidatesFeatures) {

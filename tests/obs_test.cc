@@ -38,7 +38,7 @@ TEST(MetricsTest, ConcurrentIncrementsScrapeToExactTotals) {
 
   // The executor's worker count, so the test exercises the same concurrency
   // the morsel pipeline produces (JOINEST_THREADS honoured).
-  const int num_threads = std::max(NumExecutorThreads(), 4);
+  const int num_threads = std::max(NumPoolThreads(), 4);
   constexpr int kPerThread = 20000;
   std::vector<std::thread> workers;
   workers.reserve(static_cast<size_t>(num_threads));

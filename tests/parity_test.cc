@@ -1,8 +1,9 @@
-// Cross-method and cross-path parity: every join method, the batch driver,
-// and the morsel-parallel counting pipeline must produce identical results
-// on the same query. Counts are the repo's ground truth (TrueResultSize
-// feeds every estimator comparison), so parity here is load-bearing — a
-// divergence anywhere silently corrupts the paper reproduction.
+// Cross-method and cross-path parity: every join method, with kernels on
+// and off, and the morsel-parallel counting pipeline must reproduce the
+// brute-force reference (tests/reference_join.h) on the same query. Counts
+// are the repo's ground truth (TrueResultSize feeds every estimator
+// comparison), so parity here is load-bearing — a divergence anywhere
+// silently corrupts the paper reproduction.
 
 #include <cstdint>
 #include <cstdlib>
@@ -10,11 +11,11 @@
 
 #include "executor/compile.h"
 #include "executor/execute.h"
-#include "executor/hash_table.h"
 #include "executor/parallel.h"
 #include "executor/plan.h"
 #include "gtest/gtest.h"
 #include "storage/table.h"
+#include "tests/reference_join.h"
 #include "tests/test_util.h"
 #include "workloads/generator.h"
 
@@ -40,39 +41,24 @@ int64_t CountWithMethod(const Catalog& catalog, const QuerySpec& spec,
   return result->count;
 }
 
-uint64_t HashRow(const Row& row) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  for (const Value& v : row) {
-    h = HashUint64(h ^ static_cast<uint64_t>(v.Hash()));
-  }
-  return h;
-}
-
-struct DrainResult {
-  int64_t rows = 0;
-  uint64_t checksum = 0;  // Order-insensitive sum of row hashes.
-};
-
-DrainResult DrainTuple(Operator& op) {
-  DrainResult out;
-  op.Open();
-  Row row;
-  while (op.Next(row)) {
-    ++out.rows;
-    out.checksum += HashRow(row);
-  }
-  op.Close();
-  return out;
-}
-
-DrainResult DrainBatch(Operator& op) {
-  DrainResult out;
+// Drains a compiled plan batch by batch into the reference's row count and
+// canonical checksum.
+ReferenceResult DrainCompiled(const Catalog& catalog, const QuerySpec& spec,
+                              const PlanNode& plan, bool specialize) {
+  CompileOptions options;
+  options.specialize_kernels = specialize;
+  auto root = CompilePlan(catalog, spec, plan, nullptr, nullptr, nullptr,
+                          options);
+  JOINEST_CHECK(root.ok()) << root.status();
+  Operator& op = **root;
+  const std::vector<int> order = CanonicalOrder(op.layout());
+  ReferenceResult out;
   op.Open();
   RowBatch batch;
   while (op.NextBatch(batch)) {
     out.rows += batch.size();
     for (int i = 0; i < batch.size(); ++i) {
-      out.checksum += HashRow(batch.row(i));
+      out.checksum += CanonicalRowHash(batch.row(i), order);
     }
   }
   op.Close();
@@ -116,8 +102,8 @@ GeneratedWorkload MakeWorkload(const ParityCase& c) {
   options.single_class = c.single_class;
   options.add_local_predicate = c.local_predicate;
   options.seed = c.seed;
-  // Small enough that tuple nested loops stay fast, large enough that the
-  // batch path spans several batches and the parallel path several morsels.
+  // Small enough that nested loops and the brute-force reference stay
+  // fast, large enough that plans span several batches.
   options.min_rows = 80;
   options.max_rows = 200;
   options.min_distinct = 10;
@@ -128,19 +114,34 @@ GeneratedWorkload MakeWorkload(const ParityCase& c) {
 }
 
 // Property: on seeded generator workloads across every query shape, all
-// five join methods count the same result.
-TEST(JoinMethodParityTest, AllMethodsAgreeOnGeneratedWorkloads) {
+// five join methods, with kernels on and off, produce the reference's rows
+// (count and checksum), and the ground-truth count agrees.
+TEST(JoinMethodParityTest, AllMethodsMatchBruteForceReference) {
   for (const ParityCase& c : ParityCases()) {
     const GeneratedWorkload w = MakeWorkload(c);
-    const int64_t expected =
-        CountWithMethod(w.catalog, w.spec, JoinMethod::kHash);
-    EXPECT_GT(expected, 0) << "degenerate workload, seed " << c.seed;
+    const ReferenceResult expected = BruteForceJoin(w.catalog, w.spec);
+    EXPECT_GT(expected.rows, 0) << "degenerate workload, seed " << c.seed;
+    auto truth = TrueResultSize(w.catalog, w.spec);
+    ASSERT_TRUE(truth.ok()) << truth.status();
+    EXPECT_EQ(*truth, expected.rows) << "seed " << c.seed;
     for (JoinMethod method :
          {JoinMethod::kNestedLoop, JoinMethod::kBlockNestedLoop,
-          JoinMethod::kSortMerge, JoinMethod::kIndexNestedLoop}) {
-      EXPECT_EQ(CountWithMethod(w.catalog, w.spec, method), expected)
-          << JoinMethodName(method) << " diverges, shape "
-          << static_cast<int>(c.shape) << " seed " << c.seed;
+          JoinMethod::kHash, JoinMethod::kSortMerge,
+          JoinMethod::kIndexNestedLoop}) {
+      std::unique_ptr<PlanNode> plan = CanonicalSafePlan(w.spec);
+      SetJoinMethod(plan.get(), method);
+      for (bool specialize : {false, true}) {
+        const ReferenceResult got =
+            DrainCompiled(w.catalog, w.spec, *plan, specialize);
+        EXPECT_EQ(got.rows, expected.rows)
+            << JoinMethodName(method) << " kernels " << specialize
+            << ", shape " << static_cast<int>(c.shape) << " seed " << c.seed;
+        EXPECT_EQ(got.checksum, expected.checksum)
+            << JoinMethodName(method) << " kernels " << specialize
+            << ", shape " << static_cast<int>(c.shape) << " seed " << c.seed;
+      }
+      EXPECT_EQ(CountWithMethod(w.catalog, w.spec, method), expected.rows)
+          << JoinMethodName(method) << " via ExecutePlan, seed " << c.seed;
     }
   }
 }
@@ -161,28 +162,12 @@ TEST(CanonicalPlanTest, KeyedJoinsAreHashJoins) {
   }
 }
 
-// The batch driver must be a pure re-packaging of the tuple stream: same
-// row count AND same multiset of rows (checksum) from the same tree.
-TEST(BatchParityTest, BatchDriverMatchesTupleDriver) {
+// The morsel-parallel counting pipeline must match the reference bit for
+// bit, whatever the worker count.
+TEST(ParallelParityTest, ParallelCountMatchesReferenceAcrossThreadCounts) {
   for (const ParityCase& c : ParityCases()) {
     const GeneratedWorkload w = MakeWorkload(c);
-    const std::unique_ptr<PlanNode> plan = CanonicalSafePlan(w.spec);
-    auto root = CompilePlan(w.catalog, w.spec, *plan);
-    ASSERT_TRUE(root.ok()) << root.status();
-    const DrainResult tuple = DrainTuple(**root);
-    const DrainResult batch = DrainBatch(**root);  // Re-opens the tree.
-    EXPECT_EQ(batch.rows, tuple.rows) << "seed " << c.seed;
-    EXPECT_EQ(batch.checksum, tuple.checksum) << "seed " << c.seed;
-  }
-}
-
-// The morsel-parallel counting pipeline must match the operator tree bit
-// for bit, whatever the worker count.
-TEST(ParallelParityTest, ParallelCountMatchesTuplePathAcrossThreadCounts) {
-  for (const ParityCase& c : ParityCases()) {
-    const GeneratedWorkload w = MakeWorkload(c);
-    const int64_t expected =
-        CountWithMethod(w.catalog, w.spec, JoinMethod::kHash);
+    const int64_t expected = BruteForceJoin(w.catalog, w.spec).rows;
     EXPECT_EQ(ParallelCountWithThreads(w.catalog, w.spec, "1"), expected)
         << "1 thread, seed " << c.seed;
     EXPECT_EQ(ParallelCountWithThreads(w.catalog, w.spec, "8"), expected)
@@ -193,38 +178,22 @@ TEST(ParallelParityTest, ParallelCountMatchesTuplePathAcrossThreadCounts) {
 // --------------------------------------------- Specialized batch kernels
 //
 // CompilePlan lowers schema-provable filters, scans and hash joins onto
-// typed kernels (executor/kernels.h). The generic row-at-a-time path stays
-// behind CompileOptions{specialize_kernels = false} as the parity oracle:
-// both compilations of the same plan must produce the same row count AND
-// the same multiset of rows.
-
-DrainResult DrainCompiled(const Catalog& catalog, const QuerySpec& spec,
-                          const PlanNode& plan, bool specialize) {
-  CompileOptions options;
-  options.specialize_kernels = specialize;
-  auto root = CompilePlan(catalog, spec, plan, nullptr, nullptr, nullptr,
-                          options);
-  JOINEST_CHECK(root.ok()) << root.status();
-  return DrainBatch(**root);
-}
+// typed kernels (executor/kernels.h). The generic path stays behind
+// CompileOptions{specialize_kernels = false}: both compilations of the same
+// plan must reproduce the brute-force reference, row count AND multiset of
+// rows.
 
 void ExpectKernelParity(const Catalog& catalog, const QuerySpec& spec,
                         const char* what) {
   const std::unique_ptr<PlanNode> plan = CanonicalSafePlan(spec);
-  const DrainResult generic =
-      DrainCompiled(catalog, spec, *plan, /*specialize=*/false);
-  const DrainResult specialized =
-      DrainCompiled(catalog, spec, *plan, /*specialize=*/true);
-  EXPECT_EQ(specialized.rows, generic.rows) << what;
-  EXPECT_EQ(specialized.checksum, generic.checksum) << what;
-  // The tuple driver is always generic; it anchors both batch paths.
-  CompileOptions specialize;
-  auto root = CompilePlan(catalog, spec, *plan, nullptr, nullptr, nullptr,
-                          specialize);
-  JOINEST_CHECK(root.ok()) << root.status();
-  const DrainResult tuple = DrainTuple(**root);
-  EXPECT_EQ(tuple.rows, generic.rows) << what;
-  EXPECT_EQ(tuple.checksum, generic.checksum) << what;
+  const ReferenceResult expected = BruteForceJoin(catalog, spec);
+  for (bool specialize : {false, true}) {
+    const ReferenceResult got =
+        DrainCompiled(catalog, spec, *plan, specialize);
+    EXPECT_EQ(got.rows, expected.rows) << what << ", kernels " << specialize;
+    EXPECT_EQ(got.checksum, expected.checksum)
+        << what << ", kernels " << specialize;
+  }
 }
 
 TEST(KernelParityTest, SpecializedMatchesGenericOnGeneratedWorkloads) {

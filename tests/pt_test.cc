@@ -256,10 +256,10 @@ TEST(PtParityTest, ServiceResultsIdentical) {
   }
   const Session plain =
       db.CreateSession(Session::Options().set_use_cache(false)).value();
-  const Session transfer = db.CreateSession(Session::Options()
-                                                .set_use_cache(false)
-                                                .set_predicate_transfer(true))
-                               .value();
+  const Session transfer =
+      db.CreateSession(Session::Options().set_use_cache(false).set_features(
+                           EstimatorFeatures{.runtime_selectivities = true}))
+          .value();
   const std::vector<std::string> queries = {
       "SELECT COUNT(*) FROM S, M WHERE S.s = M.m",
       "SELECT COUNT(*) FROM S, M, B WHERE S.s = M.m AND M.m = B.b",
@@ -291,10 +291,12 @@ TEST(PtParityTest, ExplainAnalyzeCarriesPassRates) {
     Catalog staged = PaperCatalog();
     ASSERT_TRUE(db.ImportTables(std::move(staged)).ok());
   }
-  const Session session = db.CreateSession(Session::Options()
-                                               .set_predicate_transfer(true)
-                                               .set_capture_trace(false))
-                              .value();
+  const Session session =
+      db.CreateSession(Session::Options()
+                           .set_features(EstimatorFeatures{
+                               .runtime_selectivities = true})
+                           .set_capture_trace(false))
+          .value();
   auto report = session.ExplainAnalyze(
       "SELECT COUNT(*) FROM S, M, B WHERE S.s = M.m AND M.m = B.b "
       "AND S.s < 100");
@@ -416,7 +418,8 @@ TEST(RuntimeSelectivityTest, ExecuteFeedsLaterEstimates) {
   const std::string sql = "SELECT COUNT(*) FROM R, T WHERE R.a = T.b";
   const Session plain = db.CreateSession().value();
   const Session transfer =
-      db.CreateSession(Session::Options().set_predicate_transfer(true))
+      db.CreateSession(Session::Options().set_features(
+                           EstimatorFeatures{.runtime_selectivities = true}))
           .value();
 
   auto before = transfer.Estimate(sql);
@@ -455,13 +458,16 @@ TEST(ScanRegressionTest, ProjectDuplicateColumn) {
   ProjectOperator project(std::move(scan),
                           {ColumnRef{0, 0}, ColumnRef{0, 0}});
   project.Open();
-  Row row;
+  RowBatch batch;
   int64_t i = 0;
-  while (project.Next(row)) {
-    ASSERT_EQ(row.size(), 2u);
-    EXPECT_EQ(row[0], Value(int64_t{i * 7}));
-    EXPECT_EQ(row[1], Value(int64_t{i * 7}));
-    ++i;
+  while (project.NextBatch(batch)) {
+    for (int r = 0; r < batch.size(); ++r) {
+      const Row& row = batch.row(r);
+      ASSERT_EQ(row.size(), 2u);
+      EXPECT_EQ(row[0], Value(int64_t{i * 7}));
+      EXPECT_EQ(row[1], Value(int64_t{i * 7}));
+      ++i;
+    }
   }
   project.Close();
   EXPECT_EQ(i, 5);
@@ -473,19 +479,13 @@ TEST(ScanRegressionTest, SelectionScanEmptyAndShortBatches) {
   Table table = Table::FromColumns(Schema({{"a", TypeKind::kInt64}}), {col});
 
   {
-    // Empty selection: no rows, no crash, batch path included.
+    // Empty selection: no rows, no crash.
     SelectionScanOperator scan(
         table, 0, std::make_shared<const std::vector<int64_t>>());
     scan.Open();
-    Row row;
-    EXPECT_FALSE(scan.Next(row));
-    scan.Close();
-    SelectionScanOperator batch_scan(
-        table, 0, std::make_shared<const std::vector<int64_t>>());
-    batch_scan.Open();
     RowBatch batch;
-    EXPECT_FALSE(batch_scan.NextBatch(batch));
-    batch_scan.Close();
+    EXPECT_FALSE(scan.NextBatch(batch));
+    scan.Close();
   }
   {
     // 1500 selected rows: one full batch (1024) + one short batch (476).
