@@ -1,5 +1,5 @@
-// Executor throughput: the batch and morsel-parallel execution paths on a
-// COUNT(*) over a 3-table chain.
+// Executor throughput: the batch execution path on a COUNT(*) over a
+// 3-table chain.
 //
 // Modes, all required to produce bit-identical counts:
 //   batch_generic — the batch driver with kernel specialization disabled
@@ -9,18 +9,10 @@
 //                   layer performs per query (one QueryRecord per run into
 //                   an enabled recorder): the recorder-on overhead probe,
 //                   gated <= 2% over batch by check_bench_regression.py
-//                   --overhead-pair batch_recorder:batch;
-//   parallel      — the morsel-parallel counting pipeline
-//                   (ParallelTrueCount) on the shared pool, thread count
-//                   from JOINEST_THREADS / hardware_concurrency;
-//   parallel_Kt   — the same pipeline pinned to K threads via a private
-//                   K-1-worker pool (K in {1, 2, 4, hw}): the core-count
-//                   scaling sweep.
+//                   --overhead-pair batch_recorder:batch.
 //
-// Full (non-smoke) runs enforce the executor's two perf contracts: batch
-// must beat batch_generic by >= 1.5x (kernel specialization pays), and the
-// 4-thread sweep point must reach >= 0.7 parallel efficiency vs parallel_1t
-// (skipped on machines with fewer than 4 cores).
+// Full (non-smoke) runs enforce the executor's perf contract: batch must
+// beat batch_generic by >= 1.5x (kernel specialization pays).
 //
 // Each mode runs one warm-up plus `repeats` timed runs; the reported wall
 // time is the median. rows/sec normalises by total base-table rows so the
@@ -47,7 +39,6 @@
 #include "common/thread_pool.h"
 #include "executor/compile.h"
 #include "executor/execute.h"
-#include "executor/parallel.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "storage/catalog.h"
@@ -208,30 +199,6 @@ int main(int argc, char** argv) {
     recorder.Record(std::move(record));
     return count;
   }));
-  results.push_back(TimeMode("parallel", repeats, f.total_rows, [&] {
-    auto count = ParallelTrueCount(f.catalog, f.spec);
-    JOINEST_CHECK(count.ok()) << count.status();
-    return *count;
-  }));
-
-  // Core-count scaling sweep: the same pipeline pinned to K threads via a
-  // private pool (K - 1 workers plus the calling thread).
-  std::vector<int> sweep = {1, 2, 4};
-  const int hw = NumPoolThreads();
-  if (hw > 4) sweep.push_back(hw);
-  for (int k : sweep) {
-    ThreadPool pool(k - 1);
-    ParallelOptions options;
-    options.pool = &pool;
-    options.max_workers = k;
-    const std::string mode = "parallel_" + std::to_string(k) + "t";
-    results.push_back(TimeMode(mode, repeats, f.total_rows, [&] {
-      auto count = ParallelTrueCount(f.catalog, f.spec, options);
-      JOINEST_CHECK(count.ok()) << count.status();
-      return *count;
-    }));
-  }
-
   // Bit-identical results across every mode, or the numbers are noise.
   for (const ModeResult& r : results) {
     JOINEST_CHECK_EQ(r.count, results[0].count)
@@ -260,31 +227,15 @@ int main(int argc, char** argv) {
   const double kernel_speedup =
       rate_of("batch_generic") > 0 ? rate_of("batch") / rate_of("batch_generic")
                                    : 0;
-  const double efficiency_4t =
-      rate_of("parallel_1t") > 0
-          ? rate_of("parallel_4t") / rate_of("parallel_1t") / 4.0
-          : 0;
   std::printf("kernel speedup (batch vs batch_generic): %.2fx\n",
               kernel_speedup);
-  if (hw >= 4) {
-    std::printf("parallel efficiency at 4 threads: %.2f\n", efficiency_4t);
-  }
 
-  // Full runs enforce the executor perf contracts; smoke runs only report
-  // (20k rows is small enough that scheduler noise dominates the sweep).
-  if (!smoke) {
-    if (kernel_speedup < 1.5) {
-      std::fprintf(stderr,
-                   "FAIL: kernel specialization speedup %.2fx < 1.5x\n",
-                   kernel_speedup);
-      return 1;
-    }
-    if (hw >= 4 && efficiency_4t < 0.7) {
-      std::fprintf(stderr,
-                   "FAIL: parallel efficiency at 4 threads %.2f < 0.7\n",
-                   efficiency_4t);
-      return 1;
-    }
+  // Full runs enforce the executor perf contract; smoke runs only report
+  // (20k rows is small enough that scheduler noise dominates).
+  if (!smoke && kernel_speedup < 1.5) {
+    std::fprintf(stderr, "FAIL: kernel specialization speedup %.2fx < 1.5x\n",
+                 kernel_speedup);
+    return 1;
   }
 
   // Publish every number through the metrics registry, then assemble the
@@ -309,10 +260,6 @@ int main(int argc, char** argv) {
       .GetGauge("bench_executor_kernel_speedup",
                 "batch rows/sec over batch_generic rows/sec")
       .Set(kernel_speedup);
-  registry
-      .GetGauge("bench_executor_parallel_efficiency_4t",
-                "parallel_4t rows/sec over 4x parallel_1t rows/sec")
-      .Set(efficiency_4t);
 
   JsonWriter json;
   json.BeginObject();
@@ -332,8 +279,6 @@ int main(int argc, char** argv) {
   json.Int(static_cast<int64_t>(count_gauge.Value()));
   json.Key("kernel_speedup");
   json.Number(kernel_speedup);
-  json.Key("parallel_efficiency_4t");
-  json.Number(efficiency_4t);
   json.Key("modes");
   json.BeginArray();
   for (const ModeResult& r : results) {

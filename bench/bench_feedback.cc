@@ -153,8 +153,8 @@ int main(int argc, char** argv) {
 
   // Full scale is bounded by the ground-truth computation: the Zipf-skewed
   // chain's true join sizes grow superlinearly in scale, and the accuracy
-  // passes run EXPLAIN ANALYZE (exact prefix counting) over the whole mix
-  // twice.
+  // passes run EXPLAIN ANALYZE (which executes every query) over the whole
+  // mix twice.
   const int64_t scale = smoke ? 20000 : 40000;
   const int repeats = smoke ? 3 : 5;
   std::fprintf(stderr, "building fixture (scale %lld)...\n",

@@ -1,9 +1,8 @@
 // Shared work-stealing thread pool for every data-parallel subsystem.
 //
-// Before this existed, each parallel path — the morsel-parallel counting
-// pipeline (executor/parallel.cc), the partitioned sketch ANALYZE
+// Before this existed, each parallel path — the partitioned sketch ANALYZE
 // (storage/analyze.cc) and the predicate-transfer Bloom build
-// (pt/reducer.cc) — spawned its own std::threads per call. Concurrent
+// (pt/reducer.cc) among them — spawned its own std::threads per call. Concurrent
 // sessions therefore oversubscribed the machine (8 sessions x 8 threads on
 // an 8-core box) and paid a thread create/join per query. This pool is the
 // single process-wide replacement: subsystems submit tasks, workers run
@@ -165,7 +164,7 @@ class TaskGroup {
 
 // Worker-thread budget for the process: JOINEST_THREADS when set to a
 // positive integer (deterministic CI), otherwise hardware_concurrency();
-// always at least 1. The executor's morsel workers size from it too.
+// always at least 1.
 int NumPoolThreads();
 
 // The process-wide pool every subsystem shares, sized NumPoolThreads() - 1

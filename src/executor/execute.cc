@@ -1,9 +1,11 @@
 #include "executor/execute.h"
 
+#include <algorithm>
 #include <chrono>
+#include <numeric>
 
+#include "common/check.h"
 #include "executor/compile.h"
-#include "executor/parallel.h"
 #include "executor/scan_ops.h"
 
 namespace joinest {
@@ -64,6 +66,25 @@ StatusOr<ExecutionResult> ExecutePlan(const Catalog& catalog,
   return result;
 }
 
+std::vector<int64_t> LeftSpineJoinRows(const PlanNode& plan,
+                                       const ExecutionResult& result) {
+  std::vector<int64_t> rows;
+  for (const PlanNode* node = &plan; node->kind == PlanNode::Kind::kJoin;
+       node = node->left.get()) {
+    if (node->right->kind != PlanNode::Kind::kScan) return {};
+    const auto it = std::find_if(
+        result.node_stats.begin(), result.node_stats.end(),
+        [node](const ExecutionResult::PlanNodeStats& entry) {
+          return entry.node == node;
+        });
+    JOINEST_CHECK(it != result.node_stats.end())
+        << "plan node missing from the execution's node stats";
+    rows.push_back(it->stats.rows);
+  }
+  std::reverse(rows.begin(), rows.end());
+  return rows;
+}
+
 std::vector<int> CanonicalJoinOrder(int num_tables,
                                     const std::vector<Predicate>& joins) {
   std::vector<bool> used(num_tables, false);
@@ -102,10 +123,14 @@ std::vector<int> CanonicalJoinOrder(int num_tables,
   return order;
 }
 
-std::unique_ptr<PlanNode> CanonicalSafePlan(const QuerySpec& spec) {
-  const int n = spec.num_tables();
+namespace {
 
-  // Group local predicates by table for scan pushdown.
+// Left-deep hash joins along `order` (nested loops for a cartesian step),
+// each join taking every not-yet-applied join predicate between its new
+// table and the prefix, with local predicates pushed into the scans.
+std::unique_ptr<PlanNode> LeftDeepHashPlan(const QuerySpec& spec,
+                                           const std::vector<int>& order) {
+  const int n = spec.num_tables();
   std::vector<std::vector<Predicate>> local(n);
   std::vector<Predicate> joins;
   for (const Predicate& p : spec.predicates) {
@@ -116,9 +141,6 @@ std::unique_ptr<PlanNode> CanonicalSafePlan(const QuerySpec& spec) {
     }
   }
 
-  const std::vector<int> order = CanonicalJoinOrder(n, joins);
-
-  // Left-deep hash joins (nested loops for the rare cartesian step).
   auto plan = MakeScanNode(order[0], local[order[0]]);
   std::vector<bool> in_plan(n, false);
   in_plan[order[0]] = true;
@@ -149,44 +171,41 @@ std::unique_ptr<PlanNode> CanonicalSafePlan(const QuerySpec& spec) {
   return plan;
 }
 
+}  // namespace
+
+std::unique_ptr<PlanNode> CanonicalSafePlan(const QuerySpec& spec) {
+  std::vector<Predicate> joins;
+  for (const Predicate& p : spec.predicates) {
+    if (p.kind == Predicate::Kind::kJoin) joins.push_back(p);
+  }
+  return LeftDeepHashPlan(spec, CanonicalJoinOrder(spec.num_tables(), joins));
+}
+
 StatusOr<int64_t> TrueResultSize(const Catalog& catalog,
                                  const QuerySpec& spec) {
-  return ParallelTrueCount(catalog, spec);
+  JOINEST_RETURN_IF_ERROR(spec.Validate(catalog));
+  JOINEST_ASSIGN_OR_RETURN(
+      ExecutionResult result,
+      ExecutePlan(catalog, spec, *CanonicalSafePlan(spec)));
+  return result.count;
 }
 
 StatusOr<std::vector<int64_t>> TruePrefixSizes(
     const Catalog& catalog, const QuerySpec& spec,
     const std::vector<int>& order) {
   JOINEST_RETURN_IF_ERROR(spec.Validate(catalog));
-  if (static_cast<int>(order.size()) != spec.num_tables()) {
+  std::vector<int> sorted = order;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<int> tables(spec.num_tables());
+  std::iota(tables.begin(), tables.end(), 0);
+  if (sorted != tables) {
     return InvalidArgument("order must cover every table exactly once");
   }
-  std::vector<int64_t> sizes;
-  for (size_t k = 2; k <= order.size(); ++k) {
-    // Sub-query over the first k tables of the order, keeping every
-    // predicate fully contained in that prefix.
-    QuerySpec prefix;
-    prefix.count_star = true;
-    std::vector<int> remap(spec.num_tables(), -1);
-    for (size_t i = 0; i < k; ++i) {
-      const TableRef& ref = spec.tables[order[i]];
-      prefix.tables.push_back(ref);
-      remap[order[i]] = static_cast<int>(i);
-    }
-    for (const Predicate& p : spec.predicates) {
-      if (remap[p.left.table] < 0) continue;
-      Predicate mapped = p;
-      mapped.left.table = remap[p.left.table];
-      if (p.kind != Predicate::Kind::kLocalConst) {
-        if (remap[p.right.table] < 0) continue;
-        mapped.right.table = remap[p.right.table];
-      }
-      prefix.predicates.push_back(std::move(mapped));
-    }
-    JOINEST_ASSIGN_OR_RETURN(int64_t size, TrueResultSize(catalog, prefix));
-    sizes.push_back(size);
-  }
-  return sizes;
+  if (order.size() < 2) return std::vector<int64_t>{};
+  const std::unique_ptr<PlanNode> plan = LeftDeepHashPlan(spec, order);
+  JOINEST_ASSIGN_OR_RETURN(ExecutionResult result,
+                           ExecutePlan(catalog, spec, *plan));
+  return LeftSpineJoinRows(*plan, result);
 }
 
 }  // namespace joinest

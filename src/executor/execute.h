@@ -54,9 +54,16 @@ StatusOr<ExecutionResult> ExecutePlan(const Catalog& catalog,
                                       const ScanSelections* selections =
                                           nullptr);
 
+// Row counts of the join nodes on the left spine of a left-deep `plan`
+// (every join's right input is a scan), bottom-up: entry k is the composite
+// of the plan's first k+2 leaves (PlanLeafOrder), as executed under the
+// plan's own predicates. Read from `result.node_stats` of `plan`'s run.
+// Empty for a bushy plan or a single scan.
+std::vector<int64_t> LeftSpineJoinRows(const PlanNode& plan,
+                                       const ExecutionResult& result);
+
 // Greedy connected join order starting from table 0 (a cartesian step is
-// appended only when the join graph is disconnected) — the order the
-// canonical safe plan and the parallel counting pipeline share.
+// appended only when the join graph is disconnected).
 std::vector<int> CanonicalJoinOrder(int num_tables,
                                     const std::vector<Predicate>& joins);
 
@@ -65,17 +72,18 @@ std::vector<int> CanonicalJoinOrder(int num_tables,
 // cartesian step). This is the plan whose COUNT(*) defines ground truth.
 std::unique_ptr<PlanNode> CanonicalSafePlan(const QuerySpec& spec);
 
-// Ground truth without an optimizer: the exact result count of the
-// canonical safe plan, computed with the morsel-parallel counting pipeline
-// (see executor/parallel.h). Used by tests and benches to compare estimates
-// with true cardinalities.
+// Ground truth without an optimizer: the exact result count of `spec`,
+// i.e. ExecutePlan over CanonicalSafePlan. Used by tests and benches to
+// compare estimates with true cardinalities.
 StatusOr<int64_t> TrueResultSize(const Catalog& catalog,
                                  const QuerySpec& spec);
 
 // Exact sizes of every composite along a left-deep join order: entry i is
-// the true cardinality of joining order[0..i+1] with all applicable
-// predicates (the quantity the paper's "correct answer is exactly 100"
-// claims refer to). Executes order.size()-1 counting sub-queries.
+// the true cardinality of joining order[0..i+1] with every predicate of
+// `spec` contained in that prefix (the quantity the paper's "correct answer
+// is exactly 100" claims refer to). One ExecutePlan of the left-deep
+// hash-join plan along `order`, read through LeftSpineJoinRows. Pass the
+// closed predicate set to price estimates of closed composites.
 StatusOr<std::vector<int64_t>> TruePrefixSizes(const Catalog& catalog,
                                                const QuerySpec& spec,
                                                const std::vector<int>& order);

@@ -4,8 +4,7 @@
 // one contiguous slot array (linear probing, power-of-two capacity) whose
 // slots point at contiguous spans of build-row indices, built in two passes
 // (count per key, prefix-sum offsets, scatter). No per-key node or
-// per-match vector allocations, and the finished table is immutable — the
-// morsel-parallel probe path shares one table across threads read-only.
+// per-match vector allocations, and the finished table is immutable.
 //
 // Two key representations:
 //  * fast path — a single join key whose build column is entirely int64:

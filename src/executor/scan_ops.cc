@@ -9,13 +9,7 @@
 namespace joinest {
 
 SeqScanOperator::SeqScanOperator(const Table& table, int table_index)
-    : SeqScanOperator(table, table_index, RowRange{0, table.num_rows()}) {}
-
-SeqScanOperator::SeqScanOperator(const Table& table, int table_index,
-                                 RowRange range)
-    : table_(table), range_(range) {
-  JOINEST_CHECK_GE(range_.begin, 0);
-  JOINEST_CHECK_LE(range_.end, table.num_rows());
+    : table_(table) {
   for (int c = 0; c < table.num_columns(); ++c) {
     layout_.push_back(ColumnRef{table_index, c});
   }
@@ -26,12 +20,12 @@ void SeqScanOperator::Specialize() {
   CountKernelSelection("scan_columnwise_fill");
 }
 
-void SeqScanOperator::OpenImpl() { cursor_ = range_.begin; }
+void SeqScanOperator::OpenImpl() { cursor_ = 0; }
 
 bool SeqScanOperator::NextBatchImpl(RowBatch& batch) {
   batch.Clear();
   const int64_t take =
-      std::min<int64_t>(batch.capacity(), range_.end - cursor_);
+      std::min<int64_t>(batch.capacity(), table_.num_rows() - cursor_);
   if (specialized_) {
     FillBatchColumnwise(table_, cursor_, take, batch, slots_);
   } else {

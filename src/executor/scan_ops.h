@@ -39,13 +39,11 @@ struct ScanSelections {
 };
 
 // Scans all rows of a base table. Output layout: ColumnRef{table_index, c}
-// for every column c. Optionally restricted to a [begin, end) row range —
-// the morsel the parallel counting path hands each worker.
+// for every column c.
 class SeqScanOperator : public Operator {
  public:
   // `table` must outlive the operator.
   SeqScanOperator(const Table& table, int table_index);
-  SeqScanOperator(const Table& table, int table_index, RowRange range);
 
   std::string name() const override { return "SeqScan"; }
 
@@ -63,7 +61,6 @@ class SeqScanOperator : public Operator {
 
  private:
   const Table& table_;
-  RowRange range_;
   int64_t cursor_ = 0;
   bool specialized_ = false;
   std::vector<Row*> slots_;  // Kernel-fill scratch, reused per batch.

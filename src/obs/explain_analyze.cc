@@ -111,26 +111,29 @@ StatusOr<ExplainAnalyzeReport> ExplainAnalyzePlan(
   {
     Span span("explain_analyze");
 
-    // Per-rule estimates along the plan's leaf order. The leaf order reads a
-    // left-deep plan bottom-up; for a bushy plan it is the comparable
-    // left-deep linearisation.
-    const std::vector<int> order = PlanLeafOrder(plan);
-    std::vector<double> est_ls, est_m, est_ss;
-    std::vector<int64_t> actual;
-    if (options.with_true_cardinalities && order.size() >= 2) {
+    // Execute the plan with per-node statistics, honouring any predicate-
+    // transfer scan selections.
+    JOINEST_ASSIGN_OR_RETURN(
+        ExecutionResult result,
+        ExecutePlan(catalog, spec, plan, options.scan_selections));
+    report.count = result.count;
+    report.seconds = result.seconds;
+    report.predicate_transfer = options.predicate_transfer;
+
+    // Join levels of a left-deep plan: each left-spine join's executed row
+    // count, priced against every rule's estimate of the same composite.
+    const std::vector<int64_t> actual = LeftSpineJoinRows(plan, result);
+    if (!actual.empty()) {
+      const std::vector<int> order = PlanLeafOrder(plan);
       JOINEST_ASSIGN_OR_RETURN(
-          est_ls, RuleEstimates(catalog, spec, order, AlgorithmPreset::kELS));
+          std::vector<double> est_ls,
+          RuleEstimates(catalog, spec, order, AlgorithmPreset::kELS));
       JOINEST_ASSIGN_OR_RETURN(
-          est_m, RuleEstimates(catalog, spec, order, AlgorithmPreset::kSM));
+          std::vector<double> est_m,
+          RuleEstimates(catalog, spec, order, AlgorithmPreset::kSM));
       JOINEST_ASSIGN_OR_RETURN(
-          est_ss, RuleEstimates(catalog, spec, order, AlgorithmPreset::kSSS));
-      {
-        Span truth_span("explain_analyze::true_prefix_sizes", "levels",
-                        static_cast<int64_t>(order.size()) - 1);
-        JOINEST_ASSIGN_OR_RETURN(actual,
-                                 TruePrefixSizes(catalog, spec, order));
-      }
-      JOINEST_CHECK_EQ(actual.size(), order.size() - 1);
+          std::vector<double> est_ss,
+          RuleEstimates(catalog, spec, order, AlgorithmPreset::kSSS));
       JOINEST_CHECK_EQ(est_ls.size(), actual.size());
 
       MetricsRegistry& registry = MetricsRegistry::Global();
@@ -164,15 +167,6 @@ StatusOr<ExplainAnalyzeReport> ExplainAnalyzePlan(
         report.join_levels.push_back(std::move(level));
       }
     }
-
-    // Execute the plan with per-node statistics, honouring any predicate-
-    // transfer scan selections (the ground truth above stays unfiltered).
-    JOINEST_ASSIGN_OR_RETURN(
-        ExecutionResult result,
-        ExecutePlan(catalog, spec, plan, options.scan_selections));
-    report.count = result.count;
-    report.seconds = result.seconds;
-    report.predicate_transfer = options.predicate_transfer;
 
     std::map<const PlanNode*, const OperatorStats*> stats_of;
     for (const ExecutionResult::PlanNodeStats& entry : result.node_stats) {

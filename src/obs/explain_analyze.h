@@ -2,13 +2,22 @@
 // per-rule (LS/M/SS) estimates with q-errors per join level, and span
 // timings, in one structured report.
 //
-// The report joins three sources:
+// Everything actual comes from the one run of the plan:
 //   * the optimizer's annotations (PlanNode::estimated_rows),
 //   * the executor's per-operator statistics (rows, inclusive/self time,
 //     batch fill), matched to plan nodes via ExecutionResult::node_stats,
-//   * ground truth from the morsel-parallel counting pipeline
-//     (TruePrefixSizes), which prices each join level's estimate with the
-//     paper's error measure q = max(est/act, act/est).
+//   * for a left-deep plan, the join levels: level k's actual is the row
+//     count of the k-th join on the plan's left spine (LeftSpineJoinRows),
+//     i.e. the composite of the first k+1 leaves under the plan's own
+//     (transitively closed) predicates — the composite ELS estimates. Each
+//     level's estimate is priced with the paper's error measure
+//     q = max(est/act, act/est). A bushy plan has no such prefix chain and
+//     reports operator rows only.
+//
+// Under predicate transfer the scans read Bloom-reduced row sets, so an
+// intermediate level counts the reduced composite that actually ran (never
+// more than the unreduced one); the final level always equals the query's
+// count, which the reduction cannot change.
 //
 // Each join level is estimated under Rule LS (Algorithm ELS), Rule M
 // (Selinger) and Rule SS, so one report reproduces the paper's comparison
@@ -53,18 +62,12 @@ struct ExplainAnalyzeOptions {
   // Estimation configuration the plan was (or will be) optimized under;
   // reported as the headline rule. Defaults to Algorithm ELS's settings.
   EstimationOptions estimation;
-  // Run the counting sub-queries that provide the true cardinality of every
-  // join prefix. Off, the join-level table (and its q-errors) is skipped —
-  // only the executed plan's own actual row counts remain.
-  bool with_true_cardinalities = true;
-  // Capture a trace of the full run (estimation + execution + ground
-  // truth). When a session is already active, it is reused and left active.
+  // Capture a trace of the full run (estimation + execution). When a
+  // session is already active, it is reused and left active.
   bool capture_trace = true;
   // Predicate-transfer row-id selections the plan's scans are restricted
-  // to, and the probe statistics to report. The ground-truth counting
-  // (TruePrefixSizes) deliberately ignores the selections — true
-  // cardinalities stay unfiltered so q-errors price the estimates, not the
-  // reduction. Must outlive the call.
+  // to, and the probe statistics to report. Join-level actuals then count
+  // the reduced composites (see the file comment). Must outlive the call.
   const ScanSelections* scan_selections = nullptr;
   std::vector<PtFilterRow> predicate_transfer;
 };
@@ -93,9 +96,10 @@ struct ExplainAnalyzeReport {
   };
   std::vector<OperatorRow> operators;
 
-  // One row per join level along the plan's leaf order: level k covers the
-  // first k+1 tables. Estimates and q-errors under each of the paper's
-  // rules; `actual` is the exact prefix-join size.
+  // One row per join level of a left-deep plan, along its leaf order: level
+  // k covers the first k+1 tables. Estimates and q-errors under each of the
+  // paper's rules; `actual` is the executed row count of that level's join
+  // node. Empty for a bushy plan.
   struct JoinLevel {
     int level = 0;
     std::string prefix;     // "S x M x B"

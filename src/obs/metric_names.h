@@ -34,8 +34,6 @@
   X(executor_hashjoin_build_rows_total)                                      \
   X(executor_hashjoin_builds_total)                                          \
   X(executor_kernel_selected_total)         /* label: type= */               \
-  X(executor_morsel_rows_total)                                              \
-  X(executor_morsels_total)                                                  \
   /* --- shared thread pool (obs/pool_obs.cc) --------------------------- */ \
   X(pool_queue_depth)                                                        \
   X(pool_steals_total)                                                       \
@@ -63,7 +61,6 @@
   X(bench_accuracy_gmean_ratio)                                              \
   X(bench_executor_count)                                                    \
   X(bench_executor_kernel_speedup)                                           \
-  X(bench_executor_parallel_efficiency_4t)                                   \
   X(bench_executor_rows_per_sec)            /* label: mode= */               \
   X(bench_executor_seconds)                                                  \
   X(bench_feedback_convergence_ratio)                                        \

@@ -2,7 +2,7 @@
 //
 // The registry is the process-wide telemetry surface the ROADMAP's
 // production north star needs: estimator q-error distributions, executor
-// morsel/build/probe counts and batch fill rates all land here and are read
+// build/probe counts and batch fill rates all land here and are read
 // back through one scrape. Design points:
 //
 //  * Registration (GetCounter/GetGauge/GetHistogram) takes a mutex once per

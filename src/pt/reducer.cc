@@ -10,7 +10,6 @@
 #include "common/check.h"
 #include "common/thread_pool.h"
 #include "executor/eval.h"
-#include "executor/parallel.h"
 #include "obs/metrics.h"
 #include "obs/pool_obs.h"
 #include "pt/bloom.h"
@@ -19,9 +18,8 @@ namespace joinest {
 
 namespace {
 
-// Probe/hash chunk size — matches the executor's morsel granularity so the
-// reducer's memory footprint per chunk is one cache-resident hash array.
-constexpr int64_t kChunkRows = kMorselRows;
+// Probe/hash chunk size: one chunk's hash array stays cache-resident.
+constexpr int64_t kChunkRows = 4096;
 
 // Smallest filter we bother sizing; below this the power-of-two rounding
 // dominates anyway and a tiny filter risks needless false positives when the
@@ -131,10 +129,6 @@ double AdaptiveBitsPerKey(int64_t expected) {
 }  // namespace
 
 Status PtOptions::Validate() const {
-  if (!std::isfinite(bits_per_key) || bits_per_key < 1.0 ||
-      bits_per_key > 64.0) {
-    return InvalidArgument("pt bits_per_key must be in [1, 64]");
-  }
   if (parallel_build_threshold < 0) {
     return InvalidArgument("pt parallel_build_threshold must be >= 0");
   }
@@ -252,11 +246,8 @@ StatusOr<PtResult> RunPredicateTransfer(const Catalog& catalog,
           std::min(static_cast<int64_t>(ids.size()),
                    static_cast<int64_t>(std::llround(
                        std::max(1.0, stat_distinct)))));
-      const double bits_per_key = options.adaptive_bits_per_key
-                                      ? AdaptiveBitsPerKey(expected)
-                                      : options.bits_per_key;
-      auto filter =
-          std::make_unique<BlockedBloomFilter>(expected, bits_per_key);
+      auto filter = std::make_unique<BlockedBloomFilter>(
+          expected, AdaptiveBitsPerKey(expected));
       if (static_cast<int64_t>(ids.size()) >=
           options.parallel_build_threshold) {
         BuildFilterParallel(table, build.column, ids, expected, *filter);

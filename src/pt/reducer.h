@@ -33,16 +33,6 @@
 namespace joinest {
 
 struct PtOptions {
-  // Bloom bits per expected distinct key (~1-2% false positives at 10).
-  // Used only when adaptive_bits_per_key is off.
-  double bits_per_key = 10.0;
-  // Size bits-per-key from each build side's expected cardinality (the
-  // catalog's distinct-count statistic, the same figure the estimator
-  // uses): small filters stay cache-resident either way, so they take more
-  // bits for a lower false-positive rate; very large filters taper down to
-  // keep probes cache-resident. Deterministic in the expected key count, so
-  // serial and parallel builds derive identical geometry.
-  bool adaptive_bits_per_key = true;
   // Publish pass-rate gauges and prune counters to the global registry.
   bool publish_metrics = true;
   // Surviving-row count above which a filter build is morsel-parallel.

@@ -141,12 +141,6 @@ Session::Options& Session::Options::set_capture_trace(bool capture) {
   return *this;
 }
 
-Session::Options& Session::Options::set_with_true_cardinalities(
-    bool with_true) {
-  with_true_cardinalities_ = with_true;
-  return *this;
-}
-
 Status Session::Options::Validate() const {
   JOINEST_RETURN_IF_ERROR(features_.Validate());
   return ValidateOptimizerOptions(optimizer_);
@@ -369,9 +363,9 @@ StatusOr<PreparedQuery> Session::Prepare(const std::string& sql) const {
   return prepared;
 }
 
-QueryRecord Session::BaseRecord(const PreparedQuery& prepared,
-                                const EstimateResult& estimate) const {
-  QueryRecord record;
+void Session::FillBaseRecord(const PreparedQuery& prepared,
+                             const EstimateResult& estimate,
+                             QueryRecord& record) const {
   record.fingerprint = prepared.fingerprint;
   record.snapshot_version = prepared.snapshot->version();
   record.rule = SelectivityRuleName(options_.estimation().rule);
@@ -382,7 +376,6 @@ QueryRecord Session::BaseRecord(const PreparedQuery& prepared,
     record.per_rule.push_back(
         QueryRecord::RuleEstimate{rule.rule, rule.rows, 0.0});
   }
-  return record;
 }
 
 StatusOr<EstimateResult> Session::Estimate(
@@ -391,8 +384,9 @@ StatusOr<EstimateResult> Session::Estimate(
   JOINEST_ASSIGN_OR_RETURN(EstimateResult result,
                            EstimateImpl(prepared, &seconds));
   if (database_->recorder().enabled()) {
-    QueryRecord record = BaseRecord(prepared, result);
+    QueryRecord record;
     record.api = QueryRecord::Api::kEstimate;
+    FillBaseRecord(prepared, result, record);
     record.cache_hit = result.cache_hit();
     record.estimate_seconds = seconds;
     record.total_seconds = seconds;
@@ -530,6 +524,88 @@ uint64_t FullTableMask(int num_tables) {
 
 }  // namespace
 
+void Session::RecordRun(
+    const PreparedQuery& prepared, const PlannedQuery& planned,
+    const PtResult* pt, int64_t count,
+    const std::vector<ExplainAnalyzeReport::JoinLevel>& levels,
+    std::chrono::steady_clock::time_point call_start,
+    QueryRecord record) const {
+  const bool feedback_on = options_.feedback();
+  if (!database_->recorder().enabled() && !feedback_on) return;
+  // EstimateImpl, not Estimate: the per-rule estimates belong in THIS
+  // record, not in an extra synthetic Estimate record. Memoised, so a warm
+  // workload pays one cache probe. The feedback loop reuses the analysis
+  // for its CLOSED predicate set — fingerprints computed over the closure
+  // match across syntactically different spellings.
+  double estimate_seconds = 0.0;
+  StatusOr<EstimateResult> estimate = EstimateImpl(prepared, &estimate_seconds);
+  if (!estimate.ok()) return;
+  const Catalog& catalog = prepared.snapshot->catalog();
+  const std::vector<Predicate>& closed = estimate->analysis().predicates();
+  const uint64_t version = prepared.snapshot->version();
+  // COUNT(*) of the join IS the join's cardinality (GROUP BY only changes
+  // the output grouping, not the joined row count).
+  const double actual = static_cast<double>(count);
+  const uint64_t subplan =
+      SubPlanFingerprint(catalog, prepared.spec, closed,
+                         FullTableMask(prepared.spec.num_tables()));
+
+  // Join level k of a left-deep plan is the composite of order[0..k+1]
+  // under the closed predicates: fingerprinted the same way, every prefix
+  // seeds later estimates of any query containing that sub-plan. Levels
+  // over Bloom-reduced scans count reduced composites instead; filed, they
+  // would be served to sessions without transfer and skew the accuracy
+  // monitor, so a reduced run observes only the full query, whose count
+  // the reduction cannot change.
+  const bool reduced = pt != nullptr && !pt->selections.empty();
+  const size_t num_levels = reduced ? 0 : levels.size();
+  const std::vector<int>& order = planned.join_order();
+  std::vector<uint64_t> prefixes(num_levels, 0);
+  if (num_levels + 1 == order.size()) {
+    uint64_t prefix_mask = uint64_t{1} << order[0];
+    for (size_t k = 0; k < num_levels; ++k) {
+      prefix_mask |= uint64_t{1} << order[k + 1];
+      prefixes[k] =
+          SubPlanFingerprint(catalog, prepared.spec, closed, prefix_mask);
+    }
+  }
+
+  if (feedback_on) {
+    database_->feedback_store_->Record(subplan, version, actual);
+    for (size_t k = 0; k < num_levels; ++k) {
+      if (prefixes[k] != 0) {
+        database_->feedback_store_->Record(
+            prefixes[k], version, static_cast<double>(levels[k].actual));
+      }
+    }
+  }
+
+  if (database_->recorder().enabled()) {
+    FillBaseRecord(prepared, *estimate, record);
+    record.cache_hit = planned.cache_hit();
+    record.actual_rows = actual;
+    record.subplan_fingerprint = subplan;
+    record.q_error = QErrorValue(record.estimated_rows, actual);
+    for (QueryRecord::RuleEstimate& rule : record.per_rule) {
+      rule.q_error = QErrorValue(rule.rows, actual);
+    }
+    record.join_levels.reserve(num_levels);
+    for (size_t k = 0; k < num_levels; ++k) {
+      const ExplainAnalyzeReport::JoinLevel& level = levels[k];
+      record.join_levels.push_back(QueryRecord::JoinLevel{
+          level.level, static_cast<double>(level.actual), level.est_ls,
+          level.est_m, level.est_ss, level.q_ls, level.q_m, level.q_ss,
+          prefixes[k]});
+    }
+    FillPtFields(pt, record);
+    record.estimate_seconds = estimate_seconds;
+    record.total_seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - call_start)
+                               .count();
+    database_->RecordQuery(record);
+  }
+}
+
 StatusOr<ExecuteResult> Session::Execute(const PreparedQuery& prepared) const {
   const auto call_start = std::chrono::steady_clock::now();
   JOINEST_ASSIGN_OR_RETURN(PlannedQuery planned, Optimize(prepared));
@@ -544,51 +620,14 @@ StatusOr<ExecuteResult> Session::Execute(const PreparedQuery& prepared) const {
   result.plan = std::move(planned);
   result.predicate_transfer = std::move(pt);
 
-  const bool feedback_on = options_.feedback();
-  if (database_->recorder().enabled() || feedback_on) {
-    // EstimateImpl, not Estimate: the per-rule estimates belong in THIS
-    // record, not in an extra synthetic Estimate record. Memoised, so a
-    // warm workload pays one cache probe. The feedback loop reuses the
-    // analysis for its CLOSED predicate set — fingerprints computed over
-    // the closure match across syntactically different spellings.
-    double estimate_seconds = 0.0;
-    StatusOr<EstimateResult> estimate =
-        EstimateImpl(prepared, &estimate_seconds);
-    if (estimate.ok()) {
-      const double actual = static_cast<double>(result.execution.count);
-      const uint64_t subplan = SubPlanFingerprint(
-          prepared.snapshot->catalog(), prepared.spec,
-          estimate->analysis().predicates(),
-          FullTableMask(prepared.spec.num_tables()));
-      if (feedback_on) {
-        // COUNT(*) of the join IS the join's cardinality (GROUP BY only
-        // changes the output grouping, not the joined row count).
-        database_->feedback_store_->Record(
-            subplan, prepared.snapshot->version(), actual);
-      }
-      if (database_->recorder().enabled()) {
-        QueryRecord record = BaseRecord(prepared, *estimate);
-        record.api = QueryRecord::Api::kExecute;
-        record.cache_hit = result.plan.cache_hit();
-        record.actual_rows = actual;
-        record.subplan_fingerprint = subplan;
-        record.q_error = QErrorValue(record.estimated_rows, actual);
-        for (QueryRecord::RuleEstimate& rule : record.per_rule) {
-          rule.q_error = QErrorValue(rule.rows, actual);
-        }
-        FillPtFields(result.predicate_transfer.get(), record);
-        record.operators_total = result.execution.operators_total;
-        record.kernels_specialized = result.execution.kernels_specialized;
-        record.estimate_seconds = estimate_seconds;
-        record.execute_seconds = result.execution.seconds;
-        record.total_seconds =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          call_start)
-                .count();
-        database_->RecordQuery(record);
-      }
-    }
-  }
+  QueryRecord record;
+  record.api = QueryRecord::Api::kExecute;
+  record.operators_total = result.execution.operators_total;
+  record.kernels_specialized = result.execution.kernels_specialized;
+  record.execute_seconds = result.execution.seconds;
+  RecordRun(prepared, result.plan, result.predicate_transfer.get(),
+            result.execution.count, /*levels=*/{}, call_start,
+            std::move(record));
   return result;
 }
 
@@ -599,12 +638,12 @@ StatusOr<ExecuteResult> Session::Execute(const std::string& sql) const {
 
 StatusOr<ExplainAnalyzeReport> Session::ExplainAnalyze(
     const PreparedQuery& prepared) const {
+  const auto call_start = std::chrono::steady_clock::now();
   JOINEST_ASSIGN_OR_RETURN(PlannedQuery planned, Optimize(prepared));
   JOINEST_ASSIGN_OR_RETURN(std::shared_ptr<const PtResult> pt,
                            MaybeRunPredicateTransfer(prepared));
   ExplainAnalyzeOptions ea;
   ea.estimation = EffectiveEstimation();
-  ea.with_true_cardinalities = options_.with_true_cardinalities();
   ea.capture_trace = options_.capture_trace();
   if (pt != nullptr) {
     ea.scan_selections = &pt->selections;
@@ -619,79 +658,11 @@ StatusOr<ExplainAnalyzeReport> Session::ExplainAnalyze(
       ExplainAnalyzePlan(prepared.snapshot->catalog(), prepared.spec,
                          planned.plan(), ea));
 
-  const bool feedback_on = options_.feedback();
-  if (database_->recorder().enabled() || feedback_on) {
-    double estimate_seconds = 0.0;
-    StatusOr<EstimateResult> estimate =
-        EstimateImpl(prepared, &estimate_seconds);
-    if (estimate.ok()) {
-      const Catalog& catalog = prepared.snapshot->catalog();
-      const std::vector<Predicate>& closed =
-          estimate->analysis().predicates();
-      const uint64_t version = prepared.snapshot->version();
-      const double actual = static_cast<double>(report.count);
-      const uint64_t subplan =
-          SubPlanFingerprint(catalog, prepared.spec, closed,
-                             FullTableMask(prepared.spec.num_tables()));
-
-      // Per-join-level prefix fingerprints: the executor walks the planned
-      // left-deep leaf order, so level k's actual cardinality is the join
-      // of order[0..k+1]. This is the feedback store's richest food —
-      // every prefix of one EXPLAIN ANALYZE seeds later estimates of any
-      // query containing the same canonical sub-plan.
-      const std::vector<int>& order = planned.join_order();
-      std::vector<uint64_t> prefixes(report.join_levels.size(), 0);
-      if (order.size() == static_cast<size_t>(prepared.spec.num_tables()) &&
-          report.join_levels.size() + 1 == order.size()) {
-        uint64_t prefix_mask = uint64_t{1} << order[0];
-        for (size_t k = 0; k < report.join_levels.size(); ++k) {
-          prefix_mask |= uint64_t{1} << order[k + 1];
-          prefixes[k] =
-              SubPlanFingerprint(catalog, prepared.spec, closed, prefix_mask);
-        }
-      }
-
-      if (feedback_on) {
-        database_->feedback_store_->Record(subplan, version, actual);
-        for (size_t k = 0; k < report.join_levels.size(); ++k) {
-          // True per-level cardinalities are only present when the session
-          // ran the counting sub-queries (negative means "not measured").
-          const double level_actual =
-              static_cast<double>(report.join_levels[k].actual);
-          if (prefixes[k] != 0 && level_actual >= 0.0) {
-            database_->feedback_store_->Record(prefixes[k], version,
-                                               level_actual);
-          }
-        }
-      }
-
-      if (database_->recorder().enabled()) {
-        QueryRecord record = BaseRecord(prepared, *estimate);
-        record.api = QueryRecord::Api::kExplainAnalyze;
-        record.cache_hit = planned.cache_hit();
-        record.actual_rows = actual;
-        record.subplan_fingerprint = subplan;
-        record.q_error = QErrorValue(record.estimated_rows, actual);
-        for (QueryRecord::RuleEstimate& rule : record.per_rule) {
-          rule.q_error = QErrorValue(rule.rows, actual);
-        }
-        record.join_levels.reserve(report.join_levels.size());
-        for (size_t k = 0; k < report.join_levels.size(); ++k) {
-          const ExplainAnalyzeReport::JoinLevel& level = report.join_levels[k];
-          record.join_levels.push_back(QueryRecord::JoinLevel{
-              level.level, static_cast<double>(level.actual), level.est_ls,
-              level.est_m, level.est_ss, level.q_ls, level.q_m, level.q_ss,
-              prefixes[k]});
-        }
-        FillPtFields(pt.get(), record);
-        record.estimate_seconds = estimate_seconds;
-        record.execute_seconds = report.seconds;
-        record.total_seconds = record.estimate_seconds + record.pt_seconds +
-                               record.execute_seconds;
-        database_->RecordQuery(record);
-      }
-    }
-  }
+  QueryRecord record;
+  record.api = QueryRecord::Api::kExplainAnalyze;
+  record.execute_seconds = report.seconds;
+  RecordRun(prepared, planned, pt.get(), report.count, report.join_levels,
+            call_start, std::move(record));
   return report;
 }
 

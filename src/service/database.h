@@ -41,6 +41,7 @@
 #ifndef JOINEST_SERVICE_DATABASE_H_
 #define JOINEST_SERVICE_DATABASE_H_
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -206,9 +207,6 @@ class Session {
     Options& set_use_cache(bool use_cache);
     // ExplainAnalyze: capture a trace of the run.
     Options& set_capture_trace(bool capture);
-    // ExplainAnalyze: run the counting sub-queries that provide exact
-    // per-join-level cardinalities (expensive on big data).
-    Options& set_with_true_cardinalities(bool with_true);
 
     const EstimationOptions& estimation() const {
       return optimizer_.estimation;
@@ -217,7 +215,6 @@ class Session {
     const EstimatorFeatures& features() const { return features_; }
     bool use_cache() const { return use_cache_; }
     bool capture_trace() const { return capture_trace_; }
-    bool with_true_cardinalities() const { return with_true_cardinalities_; }
     // DEPRECATED alias of features().runtime_selectivities.
     bool predicate_transfer() const { return features_.runtime_selectivities; }
     bool feedback() const { return features_.feedback; }
@@ -238,7 +235,6 @@ class Session {
     EstimatorFeatures features_;
     bool use_cache_ = true;
     bool capture_trace_ = true;
-    bool with_true_cardinalities_ = true;
   };
 
   // Parses and resolves `sql` against the database's CURRENT snapshot and
@@ -295,8 +291,22 @@ class Session {
                                         double* seconds) const;
   // Fills the fields shared by every record (fingerprint, snapshot version,
   // headline rule name, per-rule estimates).
-  QueryRecord BaseRecord(const PreparedQuery& prepared,
-                         const EstimateResult& estimate) const;
+  void FillBaseRecord(const PreparedQuery& prepared,
+                      const EstimateResult& estimate,
+                      QueryRecord& record) const;
+  // The tail Execute and ExplainAnalyze share once the plan has run, when
+  // the recorder or feedback is on: one EstimateImpl probe and one
+  // full-query fingerprint, then the feedback observations and the
+  // flight-recorder offer. `record` arrives with the caller's own fields
+  // set (api, execute_seconds, kernel counters); `levels` are
+  // ExplainAnalyze's join levels (none for Execute), each observed as its
+  // prefix's cardinality and logged in the record unless predicate
+  // transfer reduced the scans.
+  void RecordRun(const PreparedQuery& prepared, const PlannedQuery& planned,
+                 const PtResult* pt, int64_t count,
+                 const std::vector<ExplainAnalyzeReport::JoinLevel>& levels,
+                 std::chrono::steady_clock::time_point call_start,
+                 QueryRecord record) const;
 
   Database* database_;
   Options options_;

@@ -17,14 +17,6 @@
 
 namespace joinest {
 
-// Half-open row range [begin, end) — the unit the morsel-driven executor
-// hands to a worker thread.
-struct RowRange {
-  int64_t begin = 0;
-  int64_t end = 0;
-  int64_t size() const { return end - begin; }
-};
-
 class Table {
  public:
   explicit Table(Schema schema);
@@ -53,9 +45,6 @@ class Table {
   // Copies row `row` into `out` (resized to num_columns), reusing `out`'s
   // storage — the allocation-free flavour the batch scan uses.
   void CopyRowInto(int64_t row, std::vector<Value>& out) const;
-
-  // Splits [0, num_rows) into ranges of at most `morsel_rows` rows.
-  std::vector<RowRange> Morsels(int64_t morsel_rows) const;
 
   std::string ToString(int64_t max_rows = 10) const;
 

@@ -456,9 +456,52 @@ TEST(FeedbackService, ExplainAnalyzeSeedsJoinPrefixes) {
     // Transitive-closure pair: R1.x = R3.z is derivable from the chain.
     pair_sql = "SELECT COUNT(*) FROM R1, R3 WHERE R1.x = R3.z";
   }
+  // The level's actual is the executed closed composite, which is exactly
+  // the standalone pair's true size (R1 x R3 is 100, not the 100000 of an
+  // unclosed cartesian prefix).
+  auto pair_spec = session.Prepare(pair_sql);
+  ASSERT_TRUE(pair_spec.ok()) << pair_spec.status();
+  auto truth = TrueResultSize(pair_spec->snapshot->catalog(), pair_spec->spec);
+  ASSERT_TRUE(truth.ok()) << truth.status();
+  EXPECT_EQ(level0.actual, *truth) << level0.prefix;
+  if (level0.prefix == "R1 x R3") {
+    EXPECT_EQ(level0.actual, 100);
+  }
   auto pair = session.Estimate(pair_sql);
   ASSERT_TRUE(pair.ok()) << pair.status();
-  EXPECT_EQ(pair->rows(), static_cast<double>(level0.actual));
+  EXPECT_EQ(pair->rows(), static_cast<double>(*truth));
+}
+
+// Under predicate transfer the join levels count Bloom-reduced composites;
+// only the full query's count is reduction-proof, so it is the one
+// observation filed.
+TEST(FeedbackService, ReducedExplainAnalyzeRecordsOnlyTheFullQuery) {
+  auto db = OpenExample1(Database::Options().set_recorder(
+      FlightRecorder::Options().set_enabled(true)));
+  EstimatorFeatures features;
+  features.feedback = true;
+  features.runtime_selectivities = true;
+  const Session session =
+      MakeSession(*db, Session::Options().set_features(features));
+  auto report = session.ExplainAnalyze(kJoinSql);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->join_levels.size(), 2u);
+  bool reduced = false;
+  for (const PtFilterRow& row : report->predicate_transfer) {
+    if (row.passed < row.probed) reduced = true;
+  }
+  ASSERT_TRUE(reduced) << "fixture must exercise a reduction";
+  EXPECT_EQ(report->join_levels.back().actual, report->count);
+  EXPECT_EQ(db->feedback_store().size(), 1);
+  // Nor are the reduced levels logged as per-level estimation errors.
+  const std::vector<QueryRecord> log = db->QueryLog();
+  ASSERT_FALSE(log.empty());
+  EXPECT_EQ(log.back().api, QueryRecord::Api::kExplainAnalyze);
+  EXPECT_EQ(log.back().actual_rows, static_cast<double>(report->count));
+  EXPECT_TRUE(log.back().join_levels.empty());
+  auto full = session.Estimate(kJoinSql);
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(full->rows(), static_cast<double>(report->count));
 }
 
 TEST(FeedbackService, PaperFaithfulSessionsUnaffectedByIngestion) {

@@ -15,9 +15,9 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "estimator/presets.h"
 #include "executor/execute.h"
-#include "executor/parallel.h"
 #include "obs/explain_analyze.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -36,8 +36,8 @@ TEST(MetricsTest, ConcurrentIncrementsScrapeToExactTotals) {
   HistogramMetric& histogram = registry.GetHistogram(
       "obs_test_values", "", HistogramBuckets::Exponential(1.0, 2.0, 10));
 
-  // The executor's worker count, so the test exercises the same concurrency
-  // the morsel pipeline produces (JOINEST_THREADS honoured).
+  // The pool's worker count, so the test exercises the same concurrency
+  // the pool produces (JOINEST_THREADS honoured).
   const int num_threads = std::max(NumPoolThreads(), 4);
   constexpr int kPerThread = 20000;
   std::vector<std::thread> workers;
@@ -338,6 +338,24 @@ TEST(ExplainAnalyzeTest, PaperQueryReportsExactEstimates) {
     EXPECT_GT(level.q_m, level.q_ls);
   }
 
+  // Each level's actual is the executed row count of that level's join:
+  // join operator rows come pre-order, i.e. down the left spine.
+  std::vector<int64_t> join_rows;
+  for (const ExplainAnalyzeReport::OperatorRow& row : report->operators) {
+    if (row.label.find("Join on") != std::string::npos) {
+      ASSERT_TRUE(row.has_actual) << row.label;
+      join_rows.insert(join_rows.begin(), row.actual_rows);
+    }
+  }
+  ASSERT_EQ(join_rows.size(), report->join_levels.size());
+  for (size_t k = 0; k < join_rows.size(); ++k) {
+    EXPECT_EQ(report->join_levels[k].actual, join_rows[k]) << "level " << k;
+  }
+  // The actuals come from the plan's own run: no separate truth pass.
+  for (const ExplainAnalyzeReport::SpanSummary& span : report->spans) {
+    EXPECT_EQ(span.name.find("true_prefix"), std::string::npos) << span.name;
+  }
+
   // Estimated and actual rows agree on every operator of the exact-stats
   // plan; the final aggregate row is present at depth 0.
   ASSERT_FALSE(report->operators.empty());
@@ -369,6 +387,44 @@ TEST(ExplainAnalyzeTest, PaperQueryReportsExactEstimates) {
   const std::string prom = MetricsRegistry::Global().PrometheusText();
   EXPECT_NE(prom.find("estimator_qerror_count{rule=\"LS\"}"),
             std::string::npos);
+}
+
+// A bushy plan has no chain of prefixes to price: operator rows only.
+TEST(ExplainAnalyzeTest, BushyPlanReportsNoJoinLevels) {
+  Catalog catalog;
+  ASSERT_TRUE(BuildPaperDataset(catalog, PaperDatasetOptions{}).ok());
+  auto query = ParseQuery(catalog,
+                          "SELECT COUNT(*) FROM S, M, B, G WHERE S.s = M.m "
+                          "AND M.m = B.b AND B.b = G.g AND S.s < 100");
+  ASSERT_TRUE(query.ok()) << query.status();
+  // Tables S, M, B, G are 0..3; the joins are listed in that order.
+  std::vector<Predicate> joins;
+  std::vector<Predicate> local;
+  for (const Predicate& p : query->predicates) {
+    (p.kind == Predicate::Kind::kJoin ? joins : local).push_back(p);
+  }
+  ASSERT_EQ(joins.size(), 3u);
+  auto plan = MakeJoinNode(
+      JoinMethod::kHash,
+      MakeJoinNode(JoinMethod::kHash, MakeScanNode(0, local),
+                   MakeScanNode(1, {}), {joins[0]}),
+      MakeJoinNode(JoinMethod::kHash, MakeScanNode(2, {}),
+                   MakeScanNode(3, {}), {joins[2]}),
+      {joins[1]});
+
+  ExplainAnalyzeOptions options;
+  options.capture_trace = false;
+  auto report = ExplainAnalyzePlan(catalog, *query, *plan, options);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->count, 100);
+  EXPECT_TRUE(report->join_levels.empty());
+  int joins_with_actuals = 0;
+  for (const ExplainAnalyzeReport::OperatorRow& row : report->operators) {
+    if (row.label.find("Join on") != std::string::npos && row.has_actual) {
+      ++joins_with_actuals;
+    }
+  }
+  EXPECT_EQ(joins_with_actuals, 3);
 }
 
 // The X-macro table in obs/metric_names.h is the telemetry contract: the

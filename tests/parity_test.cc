@@ -1,17 +1,16 @@
 // Cross-method and cross-path parity: every join method, with kernels on
-// and off, and the morsel-parallel counting pipeline must reproduce the
-// brute-force reference (tests/reference_join.h) on the same query. Counts
-// are the repo's ground truth (TrueResultSize feeds every estimator
-// comparison), so parity here is load-bearing — a divergence anywhere
-// silently corrupts the paper reproduction.
+// and off, and the ground-truth entry points (TrueResultSize,
+// TruePrefixSizes) must reproduce the brute-force reference
+// (tests/reference_join.h) on the same query. Counts are the repo's ground
+// truth (they feed every estimator comparison), so parity here is
+// load-bearing — a divergence anywhere silently corrupts the paper
+// reproduction.
 
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include "executor/compile.h"
 #include "executor/execute.h"
-#include "executor/parallel.h"
 #include "executor/plan.h"
 #include "gtest/gtest.h"
 #include "storage/table.h"
@@ -65,13 +64,28 @@ ReferenceResult DrainCompiled(const Catalog& catalog, const QuerySpec& spec,
   return out;
 }
 
-int64_t ParallelCountWithThreads(const Catalog& catalog,
-                                 const QuerySpec& spec, const char* threads) {
-  JOINEST_CHECK_EQ(setenv("JOINEST_THREADS", threads, /*overwrite=*/1), 0);
-  auto count = TrueResultSize(catalog, spec);
-  unsetenv("JOINEST_THREADS");
-  JOINEST_CHECK(count.ok()) << count.status();
-  return *count;
+// The sub-query over the first `k` tables of `order`, keeping every
+// predicate contained in that prefix.
+QuerySpec PrefixSpec(const QuerySpec& spec, const std::vector<int>& order,
+                     size_t k) {
+  QuerySpec prefix;
+  prefix.count_star = true;
+  std::vector<int> remap(spec.num_tables(), -1);
+  for (size_t i = 0; i < k; ++i) {
+    prefix.tables.push_back(spec.tables[order[i]]);
+    remap[order[i]] = static_cast<int>(i);
+  }
+  for (const Predicate& p : spec.predicates) {
+    Predicate mapped = p;
+    mapped.left.table = remap[p.left.table];
+    if (mapped.left.table < 0) continue;
+    if (p.kind != Predicate::Kind::kLocalConst) {
+      mapped.right.table = remap[p.right.table];
+      if (mapped.right.table < 0) continue;
+    }
+    prefix.predicates.push_back(std::move(mapped));
+  }
+  return prefix;
 }
 
 struct ParityCase {
@@ -162,16 +176,27 @@ TEST(CanonicalPlanTest, KeyedJoinsAreHashJoins) {
   }
 }
 
-// The morsel-parallel counting pipeline must match the reference bit for
-// bit, whatever the worker count.
-TEST(ParallelParityTest, ParallelCountMatchesReferenceAcrossThreadCounts) {
+// One execution of the left-deep plan along the canonical order must count
+// every prefix composite exactly as the brute-force reference does over
+// the prefix's own tables and predicates.
+TEST(TruePrefixParityTest, EveryPrefixMatchesBruteForceReference) {
   for (const ParityCase& c : ParityCases()) {
     const GeneratedWorkload w = MakeWorkload(c);
-    const int64_t expected = BruteForceJoin(w.catalog, w.spec).rows;
-    EXPECT_EQ(ParallelCountWithThreads(w.catalog, w.spec, "1"), expected)
-        << "1 thread, seed " << c.seed;
-    EXPECT_EQ(ParallelCountWithThreads(w.catalog, w.spec, "8"), expected)
-        << "8 threads, seed " << c.seed;
+    std::vector<Predicate> joins;
+    for (const Predicate& p : w.spec.predicates) {
+      if (p.kind == Predicate::Kind::kJoin) joins.push_back(p);
+    }
+    const std::vector<int> order =
+        CanonicalJoinOrder(w.spec.num_tables(), joins);
+    auto sizes = TruePrefixSizes(w.catalog, w.spec, order);
+    ASSERT_TRUE(sizes.ok()) << sizes.status();
+    ASSERT_EQ(sizes->size(), order.size() - 1);
+    for (size_t k = 2; k <= order.size(); ++k) {
+      EXPECT_EQ((*sizes)[k - 2],
+                BruteForceJoin(w.catalog, PrefixSpec(w.spec, order, k)).rows)
+          << "prefix of " << k << " tables, shape "
+          << static_cast<int>(c.shape) << " seed " << c.seed;
+    }
   }
 }
 
@@ -355,8 +380,9 @@ TEST_F(MixedTypeKeyTest, HashJoinMatchesNumericEquality) {
 }
 
 TEST_F(MixedTypeKeyTest, TrueResultSizeMatches) {
-  EXPECT_EQ(ParallelCountWithThreads(catalog_, spec_, "1"), 5);
-  EXPECT_EQ(ParallelCountWithThreads(catalog_, spec_, "4"), 5);
+  auto truth = TrueResultSize(catalog_, spec_);
+  ASSERT_TRUE(truth.ok()) << truth.status();
+  EXPECT_EQ(*truth, 5);
 }
 
 // Same join probed from the double side as the build side: the direction

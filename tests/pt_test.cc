@@ -205,9 +205,6 @@ TEST(PtReducerTest, RejectsInvalidOptions) {
       ParseQuery(catalog, "SELECT COUNT(*) FROM S, M WHERE S.s = M.m");
   ASSERT_TRUE(spec.ok());
   PtOptions options;
-  options.bits_per_key = 0.0;
-  EXPECT_FALSE(RunPredicateTransfer(catalog, *spec, options).ok());
-  options.bits_per_key = 10.0;
   options.parallel_build_threshold = -1;
   EXPECT_FALSE(RunPredicateTransfer(catalog, *spec, options).ok());
 }

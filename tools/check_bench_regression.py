@@ -4,8 +4,10 @@
 Compares rows_per_sec per mode in a BENCH_executor.json produced by
 `bench_executor` with bench/BENCH_executor_baseline.json and exits non-zero
 when any mode regresses by more than --threshold (fraction, default 0.20).
-Modes present in only one file are reported but never fail the gate, so the
-baseline does not have to be regenerated when a mode is added.
+A baseline mode missing from the current run fails the gate (a renamed or
+dropped mode would otherwise leave its regression unguarded); a current
+mode missing from the baseline is only reported, so the baseline does not
+have to be regenerated when a mode is added.
 
 The ctest wiring (bench/CMakeLists.txt) runs this against a --smoke run
 with a loose threshold: the gate exists to catch order-of-magnitude
@@ -20,7 +22,9 @@ cannot attribute a slowdown to instrumentation vs. scheduler jitter.
 
 --overhead-pair CUR:BASE (repeatable) gates OPT-IN instrumentation the same
 way: mode CUR from the current run must stay within the composite allowance
-of mode BASE from the BASELINE file. bench_executor's batch_recorder mode
+of mode BASE from the BASELINE file; a pair whose CUR mode is missing from
+the current run, or whose BASE mode is missing from the baseline, fails.
+bench_executor's batch_recorder mode
 (batch execution + one flight-recorder capture per run) is gated against
 the plain batch baseline this way, pinning recorder-on overhead to the
 --overhead-budget (<= 2% in the ctest wiring) on top of run noise.
@@ -71,9 +75,15 @@ def main():
     allowed = 1.0 - (1.0 - args.threshold) * (1.0 - args.overhead_budget)
 
     failures = []
+
+    def missing(message):
+        failures.append(Finding(checker="bench-regression",
+                                path=args.current, line=0, message=message))
+        print(f"MISSING: {message}")
+
     for mode, base_rate in sorted(baseline.items()):
         if mode not in current:
-            print(f"note: mode '{mode}' missing from current run")
+            missing(f"baseline mode '{mode}' missing from current run")
             continue
         if base_rate <= 0:
             print(f"note: mode '{mode}' has no baseline rate")
@@ -101,9 +111,14 @@ def main():
                   f"(expected CUR:BASE)", file=sys.stderr)
             return 2
         if cur_mode not in current:
-            print(f"note: pair mode '{cur_mode}' missing from current run")
+            missing(f"overhead-pair mode '{cur_mode}' missing from current "
+                    f"run")
             continue
-        if baseline.get(base_mode, 0) <= 0:
+        if base_mode not in baseline:
+            missing(f"overhead-pair mode '{base_mode}' missing from "
+                    f"{args.baseline}")
+            continue
+        if baseline[base_mode] <= 0:
             print(f"note: pair mode '{base_mode}' has no baseline rate")
             continue
         rate, base_rate = current[cur_mode], baseline[base_mode]

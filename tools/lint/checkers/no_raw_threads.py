@@ -1,7 +1,7 @@
 """no-raw-threads: no std::thread construction in src/ outside the pool.
 
-Every data-parallel subsystem (executor morsels, predicate-transfer
-reduction, partitioned ANALYZE, ...) must run its work on the shared
+Every data-parallel subsystem (predicate-transfer reduction, partitioned
+ANALYZE, ...) must run its work on the shared
 work-stealing pool (src/common/thread_pool.{h,cc}); constructing
 std::thread anywhere else in src/ reintroduces per-call thread spawn cost
 and lets concurrent sessions oversubscribe the machine — exactly what the

@@ -9,9 +9,8 @@
 #     submission, and shutdown-with-pending-tasks directly),
 #     the partitioned sketch ANALYZE path (pool tasks per row-range
 #     partition),
-#     the morsel-parallel executor (parity_test drives TrueResultSize
-#     under JOINEST_THREADS=8; executor_test covers the shared read-only
-#     hash tables it probes), and the estimation service (service_test
+#     the executor (parity_test, executor_test), and the estimation
+#     service (service_test
 #     races sessions against concurrent ANALYZE snapshot republishes and
 #     hammers the sharded result cache), the query flight recorder
 #     (flight_recorder_test drives N writers into the mutex-sharded ring),
