@@ -4,7 +4,9 @@
 // For n-table one-attribute chains (single equivalence class — the regime
 // where the rules disagree) with a local predicate on the smallest table,
 // we report per configuration: planning time, the plan's estimated final
-// size, and the measured execution time of the chosen plan.
+// size, and the measured execution time of the chosen plan. Every
+// configuration must count the same rows for one table count; the binary
+// exits 1 when they disagree (ctest: bench_optimizer_smoke).
 
 #include <chrono>
 #include <cmath>
@@ -64,8 +66,10 @@ int main() {
               "enumerator ==\n\n");
   TablePrinter table({"#tables", "enumerator", "algorithm", "plan (us)",
                       "est final", "exec (ms)", "count"});
+  int disagreements = 0;
   for (int n : {4, 6, 8, 10}) {
     Workload w = MakeChain(n, 11 * n);
+    int64_t first_count = -1;
     for (const auto enumerator :
          {OptimizerOptions::Enumerator::kDynamicProgramming,
           OptimizerOptions::Enumerator::kGreedy,
@@ -99,15 +103,30 @@ int main() {
              FormatNumber(plan->intermediate_estimates.back(), 3),
              FormatNumber(result->seconds * 1e3, 3),
              FormatNumber(static_cast<double>(result->count))});
+        if (first_count < 0) first_count = result->count;
+        if (result->count != first_count) {
+          std::fprintf(stderr,
+                       "FAIL: %d tables, %s under %s counted %lld rows, "
+                       "the first configuration %lld\n",
+                       n, enumerator_name, PresetName(preset),
+                       static_cast<long long>(result->count),
+                       static_cast<long long>(first_count));
+          ++disagreements;
+        }
       }
     }
   }
   std::printf("%s", table.ToString().c_str());
   std::printf(
       "\nExpected shape: every configuration returns the same count (plans\n"
-      "are always correct); SM/SSS estimated finals collapse towards 0 as\n"
+      "are always correct; checked, exit 1 otherwise); SM/SSS estimated finals collapse towards 0 as\n"
       "n grows while ELS stays at the true size; DP planning time grows\n"
       "exponentially in n, greedy stays polynomial; mis-estimates lead\n"
       "SM/SSS to slower chosen plans.\n");
+  if (disagreements > 0) {
+    std::fprintf(stderr, "%d configuration(s) disagree on the count\n",
+                 disagreements);
+    return 1;
+  }
   return 0;
 }

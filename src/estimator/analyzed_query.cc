@@ -29,6 +29,38 @@ const char* SelectivityRuleName(SelectivityRule rule) {
   return "?";
 }
 
+namespace {
+
+// Looked up once per rule: the registry's name lookup takes a mutex.
+Counter& QueriesCounter(SelectivityRule rule) {
+  auto lookup = [](SelectivityRule r) -> Counter& {
+    return MetricsRegistry::Global().GetCounter(
+        "estimator_queries_total", "Queries analysed for estimation",
+        {{"rule", SelectivityRuleName(r)}});
+  };
+  switch (rule) {
+    case SelectivityRule::kMultiplicative: {
+      static Counter& counter = lookup(SelectivityRule::kMultiplicative);
+      return counter;
+    }
+    case SelectivityRule::kSmallest: {
+      static Counter& counter = lookup(SelectivityRule::kSmallest);
+      return counter;
+    }
+    case SelectivityRule::kLargest: {
+      static Counter& counter = lookup(SelectivityRule::kLargest);
+      return counter;
+    }
+    case SelectivityRule::kRepresentative: {
+      static Counter& counter = lookup(SelectivityRule::kRepresentative);
+      return counter;
+    }
+  }
+  return lookup(rule);
+}
+
+}  // namespace
+
 StatusOr<AnalyzedQuery> AnalyzedQuery::Create(
     const Catalog& catalog, const QuerySpec& spec,
     const EstimationOptions& options) {
@@ -42,10 +74,7 @@ StatusOr<AnalyzedQuery> AnalyzedQuery::Create(
   query.options_ = options;
   Span analyze_span("estimator::analyze", "tables",
                     static_cast<int64_t>(spec.num_tables()));
-  MetricsRegistry::Global()
-      .GetCounter("estimator_queries_total", "Queries analysed for estimation",
-                  {{"rule", SelectivityRuleName(options.rule)}})
-      .Increment();
+  QueriesCounter(options.rule).Increment();
 
   // Steps 1-2: deduplicate + transitive closure (or just deduplicate when
   // PTC is disabled).
@@ -103,16 +132,25 @@ StatusOr<AnalyzedQuery> AnalyzedQuery::Create(
     runtime_span.SetArg("applied", static_cast<int64_t>(applied));
   }
 
-  // Step 5 (+ the §3.3 strawman's per-class constant): join selectivities
-  // exist per predicate; precompute the per-class representative.
+  // Step 5 (+ the §3.3 strawman's per-class constant): one join selectivity
+  // per predicate, kept for the incremental step; the per-class
+  // representative; and the join graph's adjacency for connectivity tests.
   Span span("estimator::join_selectivities");
   query.representative_selectivity_.assign(query.classes_.num_classes(), 1.0);
+  query.adjacency_.assign(spec.num_tables(), 0);
   std::vector<bool> has_any(query.classes_.num_classes(), false);
   for (const Predicate& p : query.predicates_) {
     if (p.kind != Predicate::Kind::kJoin) continue;
     const int cls = query.classes_.ClassOf(p.left);
     JOINEST_CHECK_GE(cls, 0);
     const double sel = query.JoinSelectivity(p);
+    if (p.left.table != p.right.table) {
+      query.join_terms_.push_back(
+          {(uint64_t{1} << p.left.table) | (uint64_t{1} << p.right.table),
+           cls, sel});
+      query.adjacency_[p.left.table] |= uint64_t{1} << p.right.table;
+      query.adjacency_[p.right.table] |= uint64_t{1} << p.left.table;
+    }
     double& rep = query.representative_selectivity_[cls];
     if (!has_any[cls]) {
       rep = sel;
@@ -228,23 +266,18 @@ std::vector<Predicate> AnalyzedQuery::EligiblePredicates(
   return EligiblePredicatesBetween(mask, uint64_t{1} << next_table);
 }
 
+uint64_t AnalyzedQuery::JoinNeighbors(uint64_t mask) const {
+  uint64_t neighbors = 0;
+  for (uint64_t bits = mask; bits != 0; bits &= bits - 1) {
+    neighbors |= adjacency_[std::countr_zero(bits)];
+  }
+  return neighbors & ~mask;
+}
+
 bool AnalyzedQuery::MasksConnected(uint64_t left_mask,
                                    uint64_t right_mask) const {
   JOINEST_CHECK_EQ(left_mask & right_mask, 0u) << "composites overlap";
-  for (const Predicate& p : predicates_) {
-    if (p.kind != Predicate::Kind::kJoin) continue;
-    const uint64_t lbit = uint64_t{1} << p.left.table;
-    const uint64_t rbit = uint64_t{1} << p.right.table;
-    if (((left_mask & lbit) && (right_mask & rbit)) ||
-        ((left_mask & rbit) && (right_mask & lbit))) {
-      return true;
-    }
-  }
-  return false;
-}
-
-bool AnalyzedQuery::HasEligiblePredicate(uint64_t mask, int next_table) const {
-  return MasksConnected(mask, uint64_t{1} << next_table);
+  return (JoinNeighbors(left_mask) & right_mask) != 0;
 }
 
 double AnalyzedQuery::JoinCardinality(uint64_t mask, double card,
@@ -270,18 +303,28 @@ double AnalyzedQuery::JoinComposites(uint64_t left_mask, double left_card,
     JOINEST_CHECK_CARDINALITY(*observed) << "observed composite";
     return *observed;
   }
-  std::vector<Predicate> eligible =
-      EligiblePredicatesBetween(left_mask, right_mask);
   double result = left_card * right_card;
-  if (eligible.empty()) return result;  // Cartesian product.
+  if (!MasksConnected(left_mask, right_mask)) return result;  // Cartesian.
 
+  // The eligible predicates are the terms crossing the masks, visited in
+  // predicates_ order (as EligiblePredicatesBetween lists them), so every
+  // product below is formed in one fixed order.
+  auto for_each_eligible = [&](auto&& visit) {
+    for (const JoinTerm& term : join_terms_) {
+      if ((term.tables & left_mask) != 0 && (term.tables & right_mask) != 0) {
+        visit(term);
+      }
+    }
+  };
   // A join estimate can never exceed the cartesian product: every applied
   // selectivity is in [0, 1], so `result` only shrinks below.
   const double cartesian = result;
   switch (options_.rule) {
     case SelectivityRule::kMultiplicative: {
       // Rule M: every eligible predicate contributes.
-      for (const Predicate& p : eligible) result *= JoinSelectivity(p);
+      for_each_eligible([&](const JoinTerm& term) {
+        result *= term.selectivity;
+      });
       JOINEST_CHECK_CARDINALITY(result);
       JOINEST_DCHECK_LE(result, cartesian * (1.0 + 1e-9))
           << "rule M output exceeds the cartesian product";
@@ -291,24 +334,22 @@ double AnalyzedQuery::JoinComposites(uint64_t left_mask, double left_card,
     case SelectivityRule::kLargest:
     case SelectivityRule::kRepresentative: {
       // One selectivity per equivalence class; classes multiply
-      // independently.
+      // independently. The strawman's constant needs no combining (min and
+      // max of equal values agree).
       std::unordered_map<int, double> per_class;
-      for (const Predicate& p : eligible) {
-        const int cls = classes_.ClassOf(p.left);
-        JOINEST_CHECK_GE(cls, 0);
-        if (options_.rule == SelectivityRule::kRepresentative) {
-          per_class[cls] = representative_selectivity_[cls];
-          continue;
-        }
-        const double sel = JoinSelectivity(p);
-        auto [it, inserted] = per_class.emplace(cls, sel);
-        if (inserted) continue;
+      for_each_eligible([&](const JoinTerm& term) {
+        const double sel =
+            options_.rule == SelectivityRule::kRepresentative
+                ? representative_selectivity_[term.class_id]
+                : term.selectivity;
+        auto [it, inserted] = per_class.emplace(term.class_id, sel);
+        if (inserted) return;
         if (options_.rule == SelectivityRule::kSmallest) {
           it->second = std::min(it->second, sel);
         } else {
           it->second = std::max(it->second, sel);
         }
-      }
+      });
       for (const auto& [cls, sel] : per_class) {
         JOINEST_CHECK_SELECTIVITY(sel) << "class " << cls;
         result *= sel;

@@ -131,10 +131,10 @@ class AnalyzedQuery {
   double JoinComposites(uint64_t left_mask, double left_card,
                         uint64_t right_mask, double right_card) const;
 
-  // True if at least one join predicate links `next_table` to `mask`.
-  bool HasEligiblePredicate(uint64_t mask, int next_table) const;
   // True if at least one join predicate crosses the two (disjoint) masks.
   bool MasksConnected(uint64_t left_mask, uint64_t right_mask) const;
+  // Tables outside `mask` linked to some table in it by a join predicate.
+  uint64_t JoinNeighbors(uint64_t mask) const;
 
   // Join predicates linking `next_table` to the composite `mask`.
   std::vector<Predicate> EligiblePredicates(uint64_t mask,
@@ -199,6 +199,16 @@ class AnalyzedQuery {
   QuerySpec spec_;
   EstimationOptions options_;
   std::vector<Predicate> predicates_;
+  // The join predicates of predicates_, in order, reduced to what the
+  // incremental step reads: the tables (one bit each), the class and S_J.
+  struct JoinTerm {
+    uint64_t tables = 0;
+    int class_id = -1;
+    double selectivity = 1.0;
+  };
+  std::vector<JoinTerm> join_terms_;
+  // Per table: the tables it shares a join predicate with.
+  std::vector<uint64_t> adjacency_;
   EquivalenceClasses classes_;
   std::vector<TableProfile> profiles_;
   // Per equivalence class, the representative selectivity (kRepresentative).

@@ -1,6 +1,7 @@
 #include "optimizer/optimizer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -29,11 +30,21 @@ struct SearchState {
   std::vector<ScanInfo> scans;
 };
 
-std::unique_ptr<PlanNode> MakeAnnotatedScan(const SearchState& state, int t) {
-  auto node = MakeScanNode(t, state.scans[t].filter);
-  node->estimated_rows = state.scans[t].est_rows;
-  node->estimated_cost = state.scans[t].scan_cost;
-  return node;
+// The best way found to produce one composite (a table mask), as a
+// back-pointer: a join entry joins its `outer` composite with the rest of
+// its mask by `method`; a base-table entry has outer == 0. Enumeration
+// handles only entries; BuildPlan turns the winner's into plan nodes once.
+struct Entry {
+  bool valid = false;
+  double cost = 0;
+  double rows = 0;
+  uint64_t outer = 0;
+  JoinMethod method = JoinMethod::kNestedLoop;
+};
+
+Entry ScanEntry(const SearchState& state, int t) {
+  return {true, state.scans[t].scan_cost, state.scans[t].est_rows, 0,
+          JoinMethod::kNestedLoop};
 }
 
 // Best (cost, method) for joining an outer composite with an inner input of
@@ -41,10 +52,12 @@ std::unique_ptr<PlanNode> MakeAnnotatedScan(const SearchState& state, int t) {
 // inner is a base-table scan, `inner_raw_rows` is its unfiltered size
 // (enables index nested loops); pass a negative value for composite inners.
 // Returns +inf cost if no method applies.
-std::pair<double, JoinMethod> BestJoinMethodGeneric(
-    const SearchState& state, double outer_rows, double inner_rows,
-    double inner_cost, double inner_raw_rows, bool has_keys,
-    double out_rows) {
+std::pair<double, JoinMethod> BestJoinMethod(const SearchState& state,
+                                             double outer_rows,
+                                             double inner_rows,
+                                             double inner_cost,
+                                             double inner_raw_rows,
+                                             bool has_keys, double out_rows) {
   double best_cost = std::numeric_limits<double>::infinity();
   JoinMethod best_method = JoinMethod::kNestedLoop;
   for (JoinMethod method : state.options->methods) {
@@ -66,118 +79,111 @@ std::pair<double, JoinMethod> BestJoinMethodGeneric(
   return {best_cost, best_method};
 }
 
-// Left-deep special case: the inner is base table `t`.
-std::pair<double, JoinMethod> BestJoinMethod(const SearchState& state, int t,
-                                             double outer_rows,
-                                             double out_rows,
-                                             bool has_keys) {
-  return BestJoinMethodGeneric(state, outer_rows, state.scans[t].est_rows,
-                               state.scans[t].scan_cost,
-                               state.scans[t].raw_rows, has_keys, out_rows);
-}
-
-struct Candidate {
-  bool valid = false;
-  double cost = 0;
-  double rows = 0;
-  std::unique_ptr<PlanNode> plan;
-};
-
-// Extends `entry` (covering `mask`) with table `t`; returns the new
-// candidate, or invalid if no join method applies.
-Candidate Extend(const SearchState& state, uint64_t mask,
-                 const Candidate& entry, int t) {
-  Candidate result;
-  const double out_rows =
-      state.analyzed->JoinCardinality(mask, entry.rows, t);
-  std::vector<Predicate> eligible =
-      state.analyzed->EligiblePredicates(mask, t);
+// The step every enumerator takes: joins the disjoint composites `outer`
+// and `inner` (`connected` iff a join predicate crosses them) with the
+// cheapest method. Invalid if no method applies.
+Entry JoinStep(const SearchState& state, uint64_t outer,
+               const Entry& outer_entry, uint64_t inner,
+               const Entry& inner_entry, bool connected) {
+  const double out_rows = state.analyzed->JoinComposites(
+      outer, outer_entry.rows, inner, inner_entry.rows);
+  // Index joins need the inner to be a bare base-table scan.
+  const double inner_raw =
+      std::popcount(inner) == 1
+          ? state.scans[std::countr_zero(inner)].raw_rows
+          : -1.0;
   const auto [step_cost, method] =
-      BestJoinMethod(state, t, entry.rows, out_rows, !eligible.empty());
-  if (!std::isfinite(step_cost)) return result;
-  JOINEST_CHECK_CARDINALITY(out_rows)
-      << "estimated join output for table " << t;
+      BestJoinMethod(state, outer_entry.rows, inner_entry.rows,
+                     inner_entry.cost, inner_raw, connected, out_rows);
+  if (!std::isfinite(step_cost)) return {};
+  JOINEST_CHECK_CARDINALITY(out_rows) << "estimated join output";
   JOINEST_DCHECK_GE(step_cost, 0.0) << "negative join step cost";
-  result.valid = true;
-  result.rows = out_rows;
-  result.cost = entry.cost + step_cost;
-  result.plan = MakeJoinNode(method, entry.plan->Clone(),
-                             MakeAnnotatedScan(state, t), std::move(eligible));
-  result.plan->estimated_rows = out_rows;
-  result.plan->estimated_cost = result.cost;
-  return result;
+  return {true, outer_entry.cost + step_cost, out_rows, outer, method};
 }
 
+// Materialises the plan of composite `mask` from the back-pointers
+// `entry_of(mask)`: the one place plan nodes are made.
+template <typename EntryOf>
+std::unique_ptr<PlanNode> BuildPlan(const SearchState& state,
+                                    const EntryOf& entry_of, uint64_t mask) {
+  if (std::popcount(mask) == 1) {
+    const ScanInfo& scan = state.scans[std::countr_zero(mask)];
+    auto node = MakeScanNode(std::countr_zero(mask), scan.filter);
+    node->estimated_rows = scan.est_rows;
+    node->estimated_cost = scan.scan_cost;
+    return node;
+  }
+  const Entry& entry = entry_of(mask);
+  const uint64_t inner = mask ^ entry.outer;
+  auto node = MakeJoinNode(
+      entry.method, BuildPlan(state, entry_of, entry.outer),
+      BuildPlan(state, entry_of, inner),
+      state.analyzed->EligiblePredicatesBetween(entry.outer, inner));
+  node->estimated_rows = entry.rows;
+  node->estimated_cost = entry.cost;
+  return node;
+}
+
+template <typename EntryOf>
 StatusOr<OptimizedPlan> FinishPlan(const SearchState& state,
-                                   Candidate entry) {
+                                   const EntryOf& entry_of) {
+  const uint64_t full = ~uint64_t{0} >> (64 - state.spec->num_tables());
+  const Entry& entry = entry_of(full);
   OptimizedPlan plan;
   JOINEST_DCHECK_GE(entry.cost, 0.0) << "negative plan cost";
   JOINEST_CHECK_CARDINALITY(entry.rows) << "final plan cardinality";
   plan.estimated_cost = entry.cost;
   plan.estimated_rows = entry.rows;
-  plan.join_order = PlanLeafOrder(*entry.plan);
-  plan.intermediate_estimates = PlanIntermediateEstimates(*entry.plan);
-  plan.root = std::move(entry.plan);
+  plan.root = BuildPlan(state, entry_of, full);
+  plan.join_order = PlanLeafOrder(*plan.root);
+  plan.intermediate_estimates = PlanIntermediateEstimates(*plan.root);
   return plan;
+}
+
+// One entry per table subset, the singletons filled in.
+std::vector<Entry> DpTable(const SearchState& state) {
+  std::vector<Entry> dp(uint64_t{1} << state.spec->num_tables());
+  for (int t = 0; t < state.spec->num_tables(); ++t) {
+    dp[uint64_t{1} << t] = ScanEntry(state, t);
+  }
+  return dp;
 }
 
 // Selinger-style DP over table subsets, left-deep plans only.
 StatusOr<OptimizedPlan> OptimizeDp(const SearchState& state) {
-  const int n = state.spec->num_tables();
-  std::vector<Candidate> dp(uint64_t{1} << n);
-  for (int t = 0; t < n; ++t) {
-    Candidate& entry = dp[uint64_t{1} << t];
-    entry.valid = true;
-    entry.rows = state.scans[t].est_rows;
-    entry.cost = state.scans[t].scan_cost;
-    entry.plan = MakeAnnotatedScan(state, t);
-  }
-  const uint64_t full = (uint64_t{1} << n) - 1;
+  std::vector<Entry> dp = DpTable(state);
+  const uint64_t full = dp.size() - 1;
   for (uint64_t mask = 1; mask <= full; ++mask) {
-    const Candidate& entry = dp[mask];
+    const Entry& entry = dp[mask];
     if (!entry.valid) continue;
     // Prefer connected extensions; allow cartesian only if this composite
     // has none (disconnected join graph).
-    std::vector<int> candidates;
-    for (int t = 0; t < n; ++t) {
-      if ((mask >> t) & 1) continue;
-      if (!state.options->avoid_cartesian ||
-          state.analyzed->HasEligiblePredicate(mask, t)) {
-        candidates.push_back(t);
-      }
-    }
-    if (candidates.empty()) {
-      for (int t = 0; t < n; ++t) {
-        if (!((mask >> t) & 1)) candidates.push_back(t);
-      }
-    }
-    for (int t : candidates) {
-      Candidate extended = Extend(state, mask, entry, t);
+    const uint64_t rest = full & ~mask;
+    const uint64_t connected = state.analyzed->JoinNeighbors(mask);
+    const uint64_t candidates =
+        state.options->avoid_cartesian && connected != 0 ? connected : rest;
+    for (uint64_t bits = candidates; bits != 0; bits &= bits - 1) {
+      const uint64_t inner = bits & -bits;
+      const Entry extended = JoinStep(state, mask, entry, inner, dp[inner],
+                                      (connected & inner) != 0);
       if (!extended.valid) continue;
-      Candidate& slot = dp[mask | (uint64_t{1} << t)];
-      if (!slot.valid || extended.cost < slot.cost) slot = std::move(extended);
+      Entry& slot = dp[mask | inner];
+      if (!slot.valid || extended.cost < slot.cost) slot = extended;
     }
   }
-  Candidate& final_entry = dp[full];
-  if (!final_entry.valid) {
+  if (!dp[full].valid) {
     return Internal("dynamic programming found no complete plan");
   }
-  return FinishPlan(state, std::move(final_entry));
+  return FinishPlan(state, [&](uint64_t mask) -> const Entry& {
+    return dp[mask];
+  });
 }
 
 // Bushy DP (DPsub): for every table subset, consider every split into two
 // disjoint composites. O(3^n) candidate splits.
 StatusOr<OptimizedPlan> OptimizeDpBushy(const SearchState& state) {
-  const int n = state.spec->num_tables();
-  std::vector<Candidate> dp(uint64_t{1} << n);
-  for (int t = 0; t < n; ++t) {
-    Candidate& entry = dp[uint64_t{1} << t];
-    entry.valid = true;
-    entry.rows = state.scans[t].est_rows;
-    entry.cost = state.scans[t].scan_cost;
-    entry.plan = MakeAnnotatedScan(state, t);
-  }
-  const uint64_t full = (uint64_t{1} << n) - 1;
+  std::vector<Entry> dp = DpTable(state);
+  const uint64_t full = dp.size() - 1;
   for (uint64_t mask = 3; mask <= full; ++mask) {
     if ((mask & (mask - 1)) == 0) continue;  // Single table.
     // Two passes: connected splits first; cartesian only if none produced
@@ -190,100 +196,59 @@ StatusOr<OptimizedPlan> OptimizeDpBushy(const SearchState& state) {
       for (uint64_t outer = (mask - 1) & mask; outer != 0;
            outer = (outer - 1) & mask) {
         const uint64_t inner = mask ^ outer;
-        const Candidate& outer_entry = dp[outer];
-        const Candidate& inner_entry = dp[inner];
-        if (!outer_entry.valid || !inner_entry.valid) continue;
-        std::vector<Predicate> eligible =
-            state.analyzed->EligiblePredicatesBetween(outer, inner);
-        if (eligible.empty() && !allow_cartesian &&
+        if (!dp[outer].valid || !dp[inner].valid) continue;
+        const bool connected = state.analyzed->MasksConnected(outer, inner);
+        if (!connected && !allow_cartesian &&
             state.options->avoid_cartesian) {
           continue;
         }
-        const double out_rows = state.analyzed->JoinComposites(
-            outer, outer_entry.rows, inner, inner_entry.rows);
-        // Index joins need the inner to be a bare base-table scan.
-        const bool inner_is_scan =
-            inner_entry.plan->kind == PlanNode::Kind::kScan;
-        const double inner_raw =
-            inner_is_scan
-                ? state.scans[inner_entry.plan->table_index].raw_rows
-                : -1.0;
-        const auto [step_cost, method] = BestJoinMethodGeneric(
-            state, outer_entry.rows, inner_entry.rows, inner_entry.cost,
-            inner_raw, !eligible.empty(), out_rows);
-        if (!std::isfinite(step_cost)) continue;
-        const double total = outer_entry.cost + step_cost;
-        Candidate& slot = dp[mask];
-        if (!slot.valid || total < slot.cost) {
-          slot.valid = true;
-          slot.cost = total;
-          slot.rows = out_rows;
-          slot.plan =
-              MakeJoinNode(method, outer_entry.plan->Clone(),
-                           inner_entry.plan->Clone(), std::move(eligible));
-          slot.plan->estimated_rows = out_rows;
-          slot.plan->estimated_cost = total;
-        }
+        const Entry joined =
+            JoinStep(state, outer, dp[outer], inner, dp[inner], connected);
+        if (!joined.valid) continue;
+        Entry& slot = dp[mask];
+        if (!slot.valid || joined.cost < slot.cost) slot = joined;
       }
     }
   }
-  Candidate& final_entry = dp[full];
-  if (!final_entry.valid) {
+  if (!dp[full].valid) {
     return Internal("bushy dynamic programming found no complete plan");
   }
-  return FinishPlan(state, std::move(final_entry));
+  return FinishPlan(state, [&](uint64_t mask) -> const Entry& {
+    return dp[mask];
+  });
 }
 
-// ---- Randomized enumerators (II / SA) over left-deep join orders.
+// ---- Enumerators over left-deep join orders (II / SA / greedy).
 
 // Cost/rows of one fixed left-deep order, without materialising plan nodes
-// (the randomized inner loops evaluate thousands of orders).
-struct OrderCost {
-  bool valid = false;
-  double cost = 0;
-  double rows = 0;
-};
-
-OrderCost CostOfOrder(const SearchState& state,
-                      const std::vector<int>& order) {
-  OrderCost result;
+// (the randomized inner loops evaluate thousands of orders). `prefixes`,
+// if given, receives the entry of every prefix, shortest first.
+Entry CostOfOrder(const SearchState& state, const std::vector<int>& order,
+                  std::vector<Entry>* prefixes = nullptr) {
   uint64_t mask = uint64_t{1} << order[0];
-  double rows = state.scans[order[0]].est_rows;
-  double cost = state.scans[order[0]].scan_cost;
+  Entry entry = ScanEntry(state, order[0]);
+  if (prefixes != nullptr) prefixes->push_back(entry);
   for (size_t i = 1; i < order.size(); ++i) {
-    const int t = order[i];
-    const double out_rows = state.analyzed->JoinCardinality(mask, rows, t);
-    const bool has_keys = state.analyzed->HasEligiblePredicate(mask, t);
-    const auto [step_cost, method] =
-        BestJoinMethod(state, t, rows, out_rows, has_keys);
-    (void)method;
-    if (!std::isfinite(step_cost)) return result;
-    cost += step_cost;
-    rows = out_rows;
-    mask |= uint64_t{1} << t;
+    const uint64_t inner = uint64_t{1} << order[i];
+    entry = JoinStep(state, mask, entry, inner, ScanEntry(state, order[i]),
+                     state.analyzed->MasksConnected(mask, inner));
+    if (!entry.valid) return entry;
+    if (prefixes != nullptr) prefixes->push_back(entry);
+    mask |= inner;
   }
-  result.valid = true;
-  result.cost = cost;
-  result.rows = rows;
-  return result;
+  return entry;
 }
 
 // Materialises the plan for a fixed order (used once, on the winner).
-Candidate BuildPlanForOrder(const SearchState& state,
-                            const std::vector<int>& order) {
-  Candidate entry;
-  entry.valid = true;
-  entry.rows = state.scans[order[0]].est_rows;
-  entry.cost = state.scans[order[0]].scan_cost;
-  entry.plan = MakeAnnotatedScan(state, order[0]);
-  uint64_t mask = uint64_t{1} << order[0];
-  for (size_t i = 1; i < order.size(); ++i) {
-    Candidate extended = Extend(state, mask, entry, order[i]);
-    JOINEST_CHECK(extended.valid) << "order became infeasible";
-    entry = std::move(extended);
-    mask |= uint64_t{1} << order[i];
-  }
-  return entry;
+StatusOr<OptimizedPlan> FinishOrder(const SearchState& state,
+                                    const std::vector<int>& order) {
+  std::vector<Entry> prefixes;
+  const bool valid = CostOfOrder(state, order, &prefixes).valid;
+  JOINEST_CHECK(valid) << "order became infeasible";
+  // A left-deep plan asks only for its prefixes, one per size.
+  return FinishPlan(state, [&](uint64_t mask) -> const Entry& {
+    return prefixes[std::popcount(mask) - 1];
+  });
 }
 
 // Iterative Improvement: random restarts, each descending by random swap
@@ -301,14 +266,14 @@ StatusOr<OptimizedPlan> OptimizeIterativeImprovement(
     for (int i = n - 1; i > 0; --i) {
       std::swap(order[i], order[rng.NextBounded(i + 1)]);
     }
-    OrderCost current = CostOfOrder(state, order);
+    Entry current = CostOfOrder(state, order);
     if (!current.valid) continue;
     for (int move = 0; move < knobs.max_moves; ++move) {
       const int a = static_cast<int>(rng.NextBounded(n));
       const int b = static_cast<int>(rng.NextBounded(n));
       if (a == b) continue;
       std::swap(order[a], order[b]);
-      const OrderCost proposal = CostOfOrder(state, order);
+      const Entry proposal = CostOfOrder(state, order);
       if (proposal.valid && proposal.cost < current.cost) {
         current = proposal;  // Downhill move: keep.
       } else {
@@ -323,7 +288,7 @@ StatusOr<OptimizedPlan> OptimizeIterativeImprovement(
   if (best_order.empty()) {
     return Internal("iterative improvement found no feasible order");
   }
-  return FinishPlan(state, BuildPlanForOrder(state, best_order));
+  return FinishOrder(state, best_order);
 }
 
 // Simulated annealing with a geometric cooling schedule.
@@ -336,7 +301,7 @@ StatusOr<OptimizedPlan> OptimizeSimulatedAnnealing(const SearchState& state) {
   for (int i = n - 1; i > 0; --i) {
     std::swap(order[i], order[rng.NextBounded(i + 1)]);
   }
-  OrderCost current = CostOfOrder(state, order);
+  Entry current = CostOfOrder(state, order);
   // A fully random start may be infeasible only if some method set forbids
   // it; retry a few shuffles, then fall back to the identity order.
   for (int attempt = 0; !current.valid && attempt < 8; ++attempt) {
@@ -360,7 +325,7 @@ StatusOr<OptimizedPlan> OptimizeSimulatedAnnealing(const SearchState& state) {
     const int b = static_cast<int>(rng.NextBounded(n));
     if (a == b) continue;
     std::swap(order[a], order[b]);
-    const OrderCost proposal = CostOfOrder(state, order);
+    const Entry proposal = CostOfOrder(state, order);
     bool accept = false;
     if (proposal.valid) {
       const double delta = proposal.cost - current.cost;
@@ -379,7 +344,7 @@ StatusOr<OptimizedPlan> OptimizeSimulatedAnnealing(const SearchState& state) {
     }
     temperature *= knobs.cooling;
   }
-  return FinishPlan(state, BuildPlanForOrder(state, best_order));
+  return FinishOrder(state, best_order);
 }
 
 // Greedy minimum-result-size enumerator: O(n^2) plans considered.
@@ -391,24 +356,23 @@ StatusOr<OptimizedPlan> OptimizeGreedy(const SearchState& state) {
   for (int t = 1; t < n; ++t) {
     if (state.scans[t].est_rows < state.scans[seed].est_rows) seed = t;
   }
-  Candidate current;
-  current.valid = true;
-  current.rows = state.scans[seed].est_rows;
-  current.cost = state.scans[seed].scan_cost;
-  current.plan = MakeAnnotatedScan(state, seed);
+  std::vector<int> order = {seed};
+  Entry current = ScanEntry(state, seed);
   uint64_t mask = uint64_t{1} << seed;
 
   for (int step = 1; step < n; ++step) {
     int best_t = -1;
-    Candidate best;
+    Entry best;
     bool best_connected = false;
+    const uint64_t neighbors = state.analyzed->JoinNeighbors(mask);
     for (int t = 0; t < n; ++t) {
       if ((mask >> t) & 1) continue;
-      const bool connected = state.analyzed->HasEligiblePredicate(mask, t);
+      const bool connected = (neighbors >> t) & 1;
       if (state.options->avoid_cartesian && best_connected && !connected) {
         continue;
       }
-      Candidate extended = Extend(state, mask, current, t);
+      const Entry extended = JoinStep(state, mask, current, uint64_t{1} << t,
+                                      ScanEntry(state, t), connected);
       if (!extended.valid) continue;
       const bool better =
           best_t < 0 ||
@@ -418,15 +382,16 @@ StatusOr<OptimizedPlan> OptimizeGreedy(const SearchState& state) {
             (extended.rows == best.rows && extended.cost < best.cost)));
       if (better) {
         best_t = t;
-        best = std::move(extended);
+        best = extended;
         best_connected = connected;
       }
     }
     if (best_t < 0) return Internal("greedy enumeration stuck");
-    current = std::move(best);
+    current = best;
     mask |= uint64_t{1} << best_t;
+    order.push_back(best_t);
   }
-  return FinishPlan(state, std::move(current));
+  return FinishOrder(state, order);
 }
 
 }  // namespace
@@ -465,14 +430,7 @@ StatusOr<OptimizedPlan> OptimizeQuery(const Catalog& catalog,
                               static_cast<int>(scan.filter.size()));
   }
 
-  if (n == 1) {
-    Candidate single;
-    single.valid = true;
-    single.rows = state.scans[0].est_rows;
-    single.cost = state.scans[0].scan_cost;
-    single.plan = MakeAnnotatedScan(state, 0);
-    return FinishPlan(state, std::move(single));
-  }
+  if (n == 1) return FinishOrder(state, {0});
 
   switch (options.enumerator) {
     case OptimizerOptions::Enumerator::kGreedy:

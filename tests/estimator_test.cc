@@ -505,8 +505,8 @@ TEST(AnalyzedQueryTest, EligiblePredicatesFiltersCorrectly) {
   EXPECT_EQ(eligible.size(), 2u);
   // Composite {R2}, next R3: J2 only.
   EXPECT_EQ(q.EligiblePredicates(0b010, 2).size(), 1u);
-  EXPECT_TRUE(q.HasEligiblePredicate(0b010, 2));
-  EXPECT_TRUE(q.HasEligiblePredicate(0b010, 0));
+  EXPECT_TRUE(q.MasksConnected(0b010, 0b100));
+  EXPECT_TRUE(q.MasksConnected(0b010, 0b001));
 }
 
 TEST(AnalyzedQueryTest, RejectsInvalidSpec) {

@@ -16,6 +16,7 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "estimator/analyzed_query.h"
 #include "estimator/presets.h"
 #include "executor/execute.h"
 #include "obs/explain_analyze.h"
@@ -307,6 +308,50 @@ TEST(OperatorTimingTest, SelfTimeExcludesChildren) {
   const OperatorStats& root = result->operators.back();
   EXPECT_GT(root.batches, 0);
   EXPECT_EQ(root.batch_rows, root.rows);
+}
+
+// AnalyzedQuery::Create counts analyses per rule through a handle it looks
+// up once; the exported series must read as a per-call lookup would: one
+// labelled series per rule in use, none for rules never used.
+TEST(MetricsTest, EstimatorQueriesCounterExportsPerRule) {
+  Catalog catalog;
+  ASSERT_TRUE(BuildPaperDataset(catalog, PaperDatasetOptions{}).ok());
+  auto query = ParseQuery(catalog,
+                          "SELECT COUNT(*) FROM S, M WHERE S.s = M.m");
+  ASSERT_TRUE(query.ok()) << query.status();
+  auto analyse = [&](AlgorithmPreset preset) {
+    ASSERT_TRUE(
+        AnalyzedQuery::Create(catalog, *query, PresetOptions(preset)).ok());
+  };
+  // Registers the two series (with their help text) before reading them.
+  analyse(AlgorithmPreset::kELS);
+  analyse(AlgorithmPreset::kSM);
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  auto count = [&](const char* rule) {
+    return registry.GetCounter("estimator_queries_total", "", {{"rule", rule}})
+        .Value();
+  };
+  const int64_t ls = count("LS");
+  const int64_t m = count("M");
+  analyse(AlgorithmPreset::kELS);
+  analyse(AlgorithmPreset::kELS);
+  analyse(AlgorithmPreset::kSM);
+  EXPECT_EQ(count("LS"), ls + 2);
+  EXPECT_EQ(count("M"), m + 1);
+
+  const std::string prom = registry.PrometheusText();
+  EXPECT_NE(prom.find("# HELP estimator_queries_total Queries analysed for "
+                      "estimation\n# TYPE estimator_queries_total counter\n"),
+            std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("estimator_queries_total{rule=\"LS\"} " +
+                      std::to_string(ls + 2) + "\n"),
+            std::string::npos);
+  EXPECT_NE(prom.find("estimator_queries_total{rule=\"M\"} " +
+                      std::to_string(m + 1) + "\n"),
+            std::string::npos);
+  EXPECT_EQ(prom.find("estimator_queries_total{rule=\"REP\"}"),
+            std::string::npos);
 }
 
 // ------------------------------------------------------- EXPLAIN ANALYZE

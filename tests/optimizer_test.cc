@@ -1,8 +1,14 @@
 // Tests for optimizer/: cost model shape, DP and greedy enumeration, method
-// selection, cartesian avoidance, and the §8 plan-choice phenomena.
+// selection, cartesian avoidance, the §8 plan-choice phenomena, and a golden
+// file that pins every enumerator's plans bit for bit.
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 
 #include "estimator/presets.h"
 #include "executor/execute.h"
@@ -13,6 +19,7 @@
 #include "storage/datagen.h"
 #include "storage/datasets.h"
 #include "tests/test_util.h"
+#include "workloads/generator.h"
 
 namespace joinest {
 namespace {
@@ -513,6 +520,262 @@ TEST_F(Section8PlanTest, ELSPlanFasterThanMisledPlans) {
   const double els = run(AlgorithmPreset::kELS);
   const double sm = run(AlgorithmPreset::kSM);
   EXPECT_LT(els * 2, sm);
+}
+
+// ------------------------------------------- Golden plans, bit for bit
+
+std::string Hex(double v) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+// Everything an enumerator decides about one node: shape, methods, pushed
+// filters, join predicates, and the exact estimate annotations.
+void RenderNode(const PlanNode& node, const Catalog& catalog,
+                const QuerySpec& spec, std::ostringstream& out) {
+  auto predicates = [&](const std::vector<Predicate>& list) {
+    out << "[";
+    for (size_t i = 0; i < list.size(); ++i) {
+      out << (i > 0 ? "; " : "") << spec.PredicateToString(catalog, list[i]);
+    }
+    out << "]";
+  };
+  if (node.kind == PlanNode::Kind::kScan) {
+    out << "T" << node.table_index;
+    predicates(node.filter);
+  } else {
+    out << "(";
+    RenderNode(*node.left, catalog, spec, out);
+    out << " " << JoinMethodName(node.method) << " ";
+    RenderNode(*node.right, catalog, spec, out);
+    out << " on ";
+    predicates(node.join_predicates);
+    out << ")";
+  }
+  out << "{" << Hex(node.estimated_rows) << "," << Hex(node.estimated_cost)
+      << "}";
+}
+
+std::string RenderPlan(const OptimizedPlan& plan, const Catalog& catalog,
+                       const QuerySpec& spec) {
+  std::ostringstream out;
+  out << "order";
+  for (int t : plan.join_order) out << " " << t;
+  out << " | ";
+  RenderNode(*plan.root, catalog, spec, out);
+  out << " | est";
+  for (double e : plan.intermediate_estimates) out << " " << Hex(e);
+  out << " | " << Hex(plan.estimated_rows) << " " << Hex(plan.estimated_cost);
+  return out.str();
+}
+
+uint64_t Fnv1a(const std::string& text) {
+  uint64_t hash = 14695981039346656037ull;
+  for (unsigned char c : text) {
+    hash ^= c;
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+const char* ShapeName(WorkloadOptions::Shape shape) {
+  switch (shape) {
+    case WorkloadOptions::Shape::kChain:
+      return "chain";
+    case WorkloadOptions::Shape::kStar:
+      return "star";
+    case WorkloadOptions::Shape::kClique:
+      return "clique";
+    case WorkloadOptions::Shape::kCycle:
+      return "cycle";
+  }
+  return "?";
+}
+
+// The golden grid: 4 shapes x 3-8 tables x {one class, foreign-key chain
+// (chain only)} x {balanced, Zipf 0.5} x {no, one} local predicate.
+std::vector<std::pair<std::string, WorkloadOptions>> GoldenWorkloads() {
+  std::vector<std::pair<std::string, WorkloadOptions>> out;
+  for (auto shape :
+       {WorkloadOptions::Shape::kChain, WorkloadOptions::Shape::kStar,
+        WorkloadOptions::Shape::kClique, WorkloadOptions::Shape::kCycle}) {
+    for (int n = 3; n <= 8; ++n) {
+      for (bool single_class : {true, false}) {
+        if (!single_class && shape != WorkloadOptions::Shape::kChain) continue;
+        for (bool zipf : {false, true}) {
+          // The foreign-key chain ignores the skew knobs.
+          if (zipf && !single_class) continue;
+          for (bool local : {false, true}) {
+            WorkloadOptions options;
+            options.shape = shape;
+            options.num_tables = n;
+            options.single_class = single_class;
+            options.balanced = !zipf;
+            options.zipf_theta = zipf ? 0.5 : 0.0;
+            options.add_local_predicate = local;
+            options.seed = 100 + n;
+            std::string key = std::string(ShapeName(shape)) + "/" +
+                              std::to_string(n) + "/" +
+                              (single_class ? "1class" : "fk") + "/" +
+                              (zipf ? "zipf" : "bal") + "/" +
+                              (local ? "local" : "nolocal");
+            out.emplace_back(std::move(key), options);
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+struct GoldenLine {
+  std::string key;
+  std::string rendering;
+};
+
+std::vector<GoldenLine> GenerateGoldenLines() {
+  std::vector<GoldenLine> lines;
+  for (const auto& [workload_key, workload_options] : GoldenWorkloads()) {
+    auto w = GenerateWorkload(workload_options);
+    JOINEST_CHECK(w.ok()) << w.status();
+    for (AlgorithmPreset preset : AllPresets()) {
+      std::string preset_name = PresetName(preset);
+      preset_name.erase(
+          std::remove(preset_name.begin(), preset_name.end(), ' '),
+          preset_name.end());
+      for (const std::string enumerator :
+           {"dp", "bushy", "greedy", "ii", "sa"}) {
+        OptimizerOptions options;
+        options.estimation = PresetOptions(preset);
+        options.allow_bushy = enumerator == "bushy";
+        if (enumerator == "greedy") {
+          options.enumerator = OptimizerOptions::Enumerator::kGreedy;
+        } else if (enumerator == "ii") {
+          options.enumerator =
+              OptimizerOptions::Enumerator::kIterativeImprovement;
+        } else if (enumerator == "sa") {
+          options.enumerator = OptimizerOptions::Enumerator::kSimulatedAnnealing;
+        }
+        auto plan = OptimizeQuery(w->catalog, w->spec, options);
+        JOINEST_CHECK(plan.ok()) << plan.status();
+        lines.push_back({workload_key + "/" + preset_name + "/" + enumerator,
+                         RenderPlan(*plan, w->catalog, w->spec)});
+      }
+    }
+  }
+  return lines;
+}
+
+std::string GoldenDigestLine(const GoldenLine& line) {
+  char digest[17];
+  std::snprintf(digest, sizeof(digest), "%016" PRIx64,
+                Fnv1a(line.rendering));
+  return line.key + " " + digest;
+}
+
+// tests/testdata/optimizer_golden.txt holds one digest per (workload,
+// preset, enumerator) of the full plan rendering: join order, methods,
+// filters, join predicates and hex-float rows/cost of every node plus
+// intermediate_estimates. Any change to what the enumerators choose, or to
+// a single bit of what they estimate, fails here. Regenerate (only for an
+// intended change) with JOINEST_UPDATE_GOLDEN=1 ./optimizer_test.
+TEST(OptimizerGoldenTest, PlansBitIdenticalToGolden) {
+  const std::string path =
+      std::string(JOINEST_TESTDATA_DIR) + "/optimizer_golden.txt";
+  const std::vector<GoldenLine> lines = GenerateGoldenLines();
+  if (std::getenv("JOINEST_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path);
+    for (const GoldenLine& line : lines) out << GoldenDigestLine(line) << "\n";
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    GTEST_SKIP() << "rewrote " << path;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing " << path;
+  std::vector<std::string> golden;
+  for (std::string line; std::getline(in, line);) golden.push_back(line);
+  ASSERT_EQ(golden.size(), lines.size());
+  int mismatches = 0;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    const std::string actual = GoldenDigestLine(lines[i]);
+    if (actual == golden[i]) continue;
+    if (++mismatches <= 5) {
+      ADD_FAILURE() << "golden " << golden[i] << "\n  actual " << actual
+                    << "\n  plan   " << lines[i].rendering;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+// Every enumerator's left-deep plan carries, per join, exactly the
+// estimate the incremental walk of its own join order produces.
+TEST(OptimizerGoldenTest, LeftDeepEstimatesMatchTraceOrder) {
+  // The last entry runs with allow_bushy.
+  const OptimizerOptions::Enumerator enumerators[] = {
+      OptimizerOptions::Enumerator::kDynamicProgramming,
+      OptimizerOptions::Enumerator::kGreedy,
+      OptimizerOptions::Enumerator::kIterativeImprovement,
+      OptimizerOptions::Enumerator::kSimulatedAnnealing,
+      OptimizerOptions::Enumerator::kDynamicProgramming};
+  for (const auto& [key, workload_options] : GoldenWorkloads()) {
+    if (workload_options.num_tables > 6) continue;
+    auto w = GenerateWorkload(workload_options);
+    ASSERT_TRUE(w.ok()) << w.status();
+    for (AlgorithmPreset preset : AllPresets()) {
+      auto analyzed =
+          AnalyzedQuery::Create(w->catalog, w->spec, PresetOptions(preset));
+      ASSERT_TRUE(analyzed.ok());
+      for (int e = 0; e < 5; ++e) {
+        OptimizerOptions options;
+        options.estimation = PresetOptions(preset);
+        options.allow_bushy = e == 4;
+        options.enumerator = enumerators[e];
+        auto plan = OptimizeQuery(w->catalog, w->spec, options);
+        ASSERT_TRUE(plan.ok()) << plan.status();
+        bool left_deep = true;
+        for (const PlanNode* node = plan->root.get();
+             node->kind == PlanNode::Kind::kJoin; node = node->left.get()) {
+          left_deep = left_deep && node->right->kind == PlanNode::Kind::kScan;
+        }
+        if (!left_deep) continue;
+        const auto trace = analyzed->TraceOrder(plan->join_order);
+        ASSERT_EQ(trace.size(), plan->intermediate_estimates.size());
+        for (size_t i = 0; i < trace.size(); ++i) {
+          EXPECT_EQ(Hex(plan->intermediate_estimates[i]),
+                    Hex(trace[i].output_cardinality))
+              << key << " " << PresetName(preset) << " enumerator " << e
+              << " join " << i;
+        }
+      }
+    }
+  }
+}
+
+// The adjacency shortcut agrees with the predicate scan on every disjoint
+// pair of masks.
+TEST(OptimizerGoldenTest, MasksConnectedMatchesEligiblePredicates) {
+  for (const auto& [key, workload_options] : GoldenWorkloads()) {
+    auto w = GenerateWorkload(workload_options);
+    ASSERT_TRUE(w.ok()) << w.status();
+    for (AlgorithmPreset preset :
+         {AlgorithmPreset::kSMNoPtc, AlgorithmPreset::kELS}) {
+      auto analyzed =
+          AnalyzedQuery::Create(w->catalog, w->spec, PresetOptions(preset));
+      ASSERT_TRUE(analyzed.ok());
+      const uint64_t full = (uint64_t{1} << w->spec.num_tables()) - 1;
+      int mismatches = 0;
+      for (uint64_t left = 1; left <= full; ++left) {
+        const uint64_t rest = full & ~left;
+        for (uint64_t right = rest; right != 0; right = (right - 1) & rest) {
+          if (analyzed->MasksConnected(left, right) ==
+              analyzed->EligiblePredicatesBetween(left, right).empty()) {
+            ++mismatches;
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0) << key << " " << PresetName(preset);
+    }
+  }
 }
 
 }  // namespace
