@@ -32,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_timer.h"
 #include "common/json_writer.h"
 #include "common/logging.h"
 #include "common/random.h"
@@ -110,38 +111,6 @@ int64_t DrainBatchCount(Operator& op) {
   return count;
 }
 
-// ------------------------------------------------------------ Harness
-
-struct ModeResult {
-  std::string mode;
-  double seconds = 0;
-  double rows_per_sec = 0;
-  int64_t count = 0;
-};
-
-template <typename Fn>
-ModeResult TimeMode(const std::string& mode, int repeats, int64_t total_rows,
-                    Fn&& run) {
-  ModeResult result;
-  result.mode = mode;
-  std::fprintf(stderr, "  [%s] warm-up...\n", mode.c_str());
-  result.count = run();  // Warm-up: touches every page, fills allocators.
-  std::vector<double> times;
-  times.reserve(repeats);
-  for (int i = 0; i < repeats; ++i) {
-    const auto start = std::chrono::steady_clock::now();
-    const int64_t count = run();
-    const auto end = std::chrono::steady_clock::now();
-    JOINEST_CHECK_EQ(count, result.count) << mode << " count drifted";
-    times.push_back(std::chrono::duration<double>(end - start).count());
-  }
-  std::sort(times.begin(), times.end());
-  result.seconds = times[times.size() / 2];  // Median.
-  result.rows_per_sec =
-      result.seconds > 0 ? total_rows / result.seconds : 0;
-  return result;
-}
-
 }  // namespace
 }  // namespace joinest
 
@@ -212,7 +181,7 @@ int main(int argc, char** argv) {
     cells.push_back(r.mode);
     std::snprintf(buf, sizeof buf, "%.4f", r.seconds);
     cells.push_back(buf);
-    std::snprintf(buf, sizeof buf, "%.0f", r.rows_per_sec);
+    std::snprintf(buf, sizeof buf, "%.0f", r.per_sec);
     cells.push_back(buf);
     printer.AddRow(std::move(cells));
   }
@@ -220,7 +189,7 @@ int main(int argc, char** argv) {
 
   const auto rate_of = [&results](const std::string& mode) -> double {
     for (const ModeResult& r : results) {
-      if (r.mode == mode) return r.rows_per_sec;
+      if (r.mode == mode) return r.per_sec;
     }
     return 0;
   };
@@ -251,7 +220,7 @@ int main(int argc, char** argv) {
   };
   for (const ModeResult& r : results) {
     mode_gauge("bench_executor_seconds", r.mode).Set(r.seconds);
-    mode_gauge("bench_executor_rows_per_sec", r.mode).Set(r.rows_per_sec);
+    mode_gauge("bench_executor_rows_per_sec", r.mode).Set(r.per_sec);
   }
   Gauge& count_gauge = registry.GetGauge(
       "bench_executor_count", "COUNT(*) agreed on by every mode");

@@ -42,6 +42,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_timer.h"
 #include "common/json_writer.h"
 #include "common/random.h"
 #include "common/table_printer.h"
@@ -50,14 +51,6 @@
 
 namespace joinest {
 namespace {
-
-double Percentile95(std::vector<double> values) {
-  JOINEST_CHECK(!values.empty());
-  std::sort(values.begin(), values.end());
-  const size_t idx =
-      static_cast<size_t>(std::ceil(0.95 * values.size())) - 1;
-  return values[std::min(idx, values.size() - 1)];
-}
 
 // A(a), B(a, b), C(b, c), E(c): a and b Zipf-skewed (the estimation errors
 // under test), c uniform with E covering only a prefix of C's domain (a
@@ -103,34 +96,6 @@ const char* kQueries[] = {
     "1000",
 };
 constexpr int kNumQueries = static_cast<int>(std::size(kQueries));
-
-struct ModeResult {
-  std::string mode;
-  double seconds = 0;
-  double estimates_per_sec = 0;
-};
-
-// Median-of-repeats timing of one full estimate sweep over the mix.
-template <typename Fn>
-ModeResult TimeMode(const std::string& mode, int repeats, Fn&& sweep) {
-  ModeResult result;
-  result.mode = mode;
-  std::fprintf(stderr, "  [%s] warm-up...\n", mode.c_str());
-  sweep();  // Warm-up.
-  std::vector<double> times;
-  times.reserve(repeats);
-  for (int i = 0; i < repeats; ++i) {
-    const auto start = std::chrono::steady_clock::now();
-    sweep();
-    const auto end = std::chrono::steady_clock::now();
-    times.push_back(std::chrono::duration<double>(end - start).count());
-  }
-  std::sort(times.begin(), times.end());
-  result.seconds = times[times.size() / 2];
-  result.estimates_per_sec =
-      result.seconds > 0 ? kNumQueries / result.seconds : 0;
-  return result;
-}
 
 }  // namespace
 }  // namespace joinest
@@ -210,7 +175,7 @@ int main(int argc, char** argv) {
       const EstimateResult estimate = fb_session.Estimate(prepared[q]).value();
       qerrors[q] = QErrorValue(estimate.rows(), truth[q]);
     }
-    p95[pass] = Percentile95(qerrors);
+    p95[pass] = NearestRank(qerrors, 0.95);
     std::printf("pass %d: p95 q-error %.3f (store: %lld observations)\n",
                 pass + 1, p95[pass],
                 static_cast<long long>(db.feedback_store().size()));
@@ -250,11 +215,13 @@ int main(int argc, char** argv) {
     for (int q = 0; q < kNumQueries; ++q) {
       JOINEST_CHECK(off_session.Estimate(prepared[q]).ok());
     }
+    return int64_t{kNumQueries};
   }));
   results.push_back(TimeMode("estimate_feedback", repeats, [&] {
     for (int q = 0; q < kNumQueries; ++q) {
       JOINEST_CHECK(fb_nocache.Estimate(prepared[q]).ok());
     }
+    return int64_t{kNumQueries};
   }));
 
   TablePrinter printer({"mode", "wall s", "estimates/sec"});
@@ -264,7 +231,7 @@ int main(int argc, char** argv) {
     cells.push_back(r.mode);
     std::snprintf(buf, sizeof buf, "%.5f", r.seconds);
     cells.push_back(buf);
-    std::snprintf(buf, sizeof buf, "%.0f", r.estimates_per_sec);
+    std::snprintf(buf, sizeof buf, "%.0f", r.per_sec);
     cells.push_back(buf);
     printer.AddRow(std::move(cells));
   }
@@ -290,8 +257,7 @@ int main(int argc, char** argv) {
   };
   for (const ModeResult& r : results) {
     mode_gauge("bench_feedback_seconds", r.mode).Set(r.seconds);
-    mode_gauge("bench_feedback_queries_per_sec", r.mode)
-        .Set(r.estimates_per_sec);
+    mode_gauge("bench_feedback_queries_per_sec", r.mode).Set(r.per_sec);
   }
 
   JsonWriter json;

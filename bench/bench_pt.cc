@@ -35,6 +35,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_timer.h"
 #include "common/json_writer.h"
 #include "common/logging.h"
 #include "common/random.h"
@@ -93,37 +94,6 @@ Fixture MakeFixture(int64_t scale) {
   return f;
 }
 
-struct ModeResult {
-  std::string mode;
-  double seconds = 0;
-  double rows_per_sec = 0;
-  int64_t count = 0;
-  int64_t rows_pruned = 0;
-};
-
-template <typename Fn>
-ModeResult TimeMode(const std::string& mode, int repeats, int64_t total_rows,
-                    Fn&& run) {
-  ModeResult result;
-  result.mode = mode;
-  std::fprintf(stderr, "  [%s] warm-up...\n", mode.c_str());
-  result.count = run(result);  // Warm-up: touches every page.
-  std::vector<double> times;
-  times.reserve(repeats);
-  for (int i = 0; i < repeats; ++i) {
-    const auto start = std::chrono::steady_clock::now();
-    const int64_t count = run(result);
-    const auto end = std::chrono::steady_clock::now();
-    JOINEST_CHECK_EQ(count, result.count) << mode << " count drifted";
-    times.push_back(std::chrono::duration<double>(end - start).count());
-  }
-  std::sort(times.begin(), times.end());
-  result.seconds = times[times.size() / 2];  // Median.
-  result.rows_per_sec =
-      result.seconds > 0 ? total_rows / result.seconds : 0;
-  return result;
-}
-
 }  // namespace
 }  // namespace joinest
 
@@ -156,31 +126,30 @@ int main(int argc, char** argv) {
   PtOptions pt_options;
   pt_options.publish_metrics = false;  // Keep the timed loop scrape-free.
 
+  int64_t rows_pruned = 0;  // By pt_on's reduction.
   std::vector<ModeResult> results;
-  results.push_back(
-      TimeMode("pt_off", repeats, f.total_rows, [&](ModeResult&) {
-        auto run = ExecutePlan(f.catalog, f.spec, *plan);
-        JOINEST_CHECK(run.ok()) << run.status();
-        return run->count;
-      }));
-  results.push_back(
-      TimeMode("pt_on", repeats, f.total_rows, [&](ModeResult& mode) {
-        auto pt = RunPredicateTransfer(f.catalog, f.spec, pt_options);
-        JOINEST_CHECK(pt.ok()) << pt.status();
-        mode.rows_pruned = pt->rows_pruned();
-        auto run = ExecutePlan(f.catalog, f.spec, *plan, &pt->selections);
-        JOINEST_CHECK(run.ok()) << run.status();
-        return run->count;
-      }));
+  results.push_back(TimeMode("pt_off", repeats, f.total_rows, [&] {
+    auto run = ExecutePlan(f.catalog, f.spec, *plan);
+    JOINEST_CHECK(run.ok()) << run.status();
+    return run->count;
+  }));
+  results.push_back(TimeMode("pt_on", repeats, f.total_rows, [&] {
+    auto pt = RunPredicateTransfer(f.catalog, f.spec, pt_options);
+    JOINEST_CHECK(pt.ok()) << pt.status();
+    rows_pruned = pt->rows_pruned();
+    auto run = ExecutePlan(f.catalog, f.spec, *plan, &pt->selections);
+    JOINEST_CHECK(run.ok()) << run.status();
+    return run->count;
+  }));
 
   // The reduction may only drop rows that cannot join: identical counts or
   // the numbers are meaningless.
   JOINEST_CHECK_EQ(results[1].count, results[0].count)
       << "pt_on diverges from pt_off";
 
-  const double off_rate = results[0].rows_per_sec;
+  const double off_rate = results[0].per_sec;
   const double speedup =
-      off_rate > 0 ? results[1].rows_per_sec / off_rate : 0;
+      off_rate > 0 ? results[1].per_sec / off_rate : 0;
   TablePrinter printer({"mode", "wall s", "rows/sec", "pruned", "vs pt_off"});
   char buf[64];
   for (const ModeResult& r : results) {
@@ -188,13 +157,13 @@ int main(int argc, char** argv) {
     cells.push_back(r.mode);
     std::snprintf(buf, sizeof buf, "%.4f", r.seconds);
     cells.push_back(buf);
-    std::snprintf(buf, sizeof buf, "%.0f", r.rows_per_sec);
+    std::snprintf(buf, sizeof buf, "%.0f", r.per_sec);
     cells.push_back(buf);
-    std::snprintf(buf, sizeof buf, "%lld",
-                  static_cast<long long>(r.rows_pruned));
+    const int64_t pruned = r.mode == "pt_on" ? rows_pruned : 0;
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(pruned));
     cells.push_back(buf);
     std::snprintf(buf, sizeof buf, "%.2fx",
-                  off_rate > 0 ? r.rows_per_sec / off_rate : 0);
+                  off_rate > 0 ? r.per_sec / off_rate : 0);
     cells.push_back(buf);
     printer.AddRow(std::move(cells));
   }
@@ -210,7 +179,7 @@ int main(int argc, char** argv) {
   };
   for (const ModeResult& r : results) {
     mode_gauge("bench_pt_seconds", r.mode).Set(r.seconds);
-    mode_gauge("bench_pt_rows_per_sec", r.mode).Set(r.rows_per_sec);
+    mode_gauge("bench_pt_rows_per_sec", r.mode).Set(r.per_sec);
   }
   Gauge& speedup_gauge = registry.GetGauge(
       "bench_pt_speedup", "pt_on rows/sec over pt_off rows/sec");
@@ -231,7 +200,7 @@ int main(int argc, char** argv) {
   json.Key("count");
   json.Int(results[0].count);
   json.Key("rows_pruned");
-  json.Int(results[1].rows_pruned);
+  json.Int(rows_pruned);
   json.Key("speedup");
   json.Number(speedup_gauge.Value());
   json.Key("modes");

@@ -43,6 +43,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_timer.h"
 #include "common/json_writer.h"
 #include "common/logging.h"
 #include "common/table_printer.h"
@@ -108,38 +109,6 @@ void CheckWarmEqualsCold(const Fixture& f) {
       JOINEST_CHECK(warm->per_rule()[i].rows == cold->per_rule()[i].rows);
     }
   }
-}
-
-struct ModeResult {
-  std::string mode;
-  double seconds = 0;
-  double queries_per_sec = 0;
-  int64_t ops = 0;
-};
-
-// Median of `repeats` timed runs after one warm-up; `run` returns the
-// number of queries it served.
-template <typename Fn>
-ModeResult TimeMode(const std::string& mode, int repeats, Fn&& run) {
-  ModeResult result;
-  result.mode = mode;
-  std::fprintf(stderr, "  [%s] warm-up...\n", mode.c_str());
-  result.ops = run();
-  std::vector<double> times;
-  times.reserve(static_cast<size_t>(repeats));
-  for (int i = 0; i < repeats; ++i) {
-    const auto start = std::chrono::steady_clock::now();
-    const int64_t ops = run();
-    const auto end = std::chrono::steady_clock::now();
-    JOINEST_CHECK_EQ(ops, result.ops) << mode << " op count drifted";
-    times.push_back(std::chrono::duration<double>(end - start).count());
-  }
-  std::sort(times.begin(), times.end());
-  result.seconds = times[times.size() / 2];
-  result.queries_per_sec =
-      result.seconds > 0 ? static_cast<double>(result.ops) / result.seconds
-                         : 0;
-  return result;
 }
 
 // `threads` workers split the query list; each estimates its stride.
@@ -282,8 +251,8 @@ int main(int argc, char** argv) {
     return MixedSweep(f, kManyClients, smoke ? 12 : 50, smoke ? 10 : 40);
   }));
 
-  const double cold_qps = results[0].queries_per_sec;
-  const double warm_qps = results[1].queries_per_sec;
+  const double cold_qps = results[0].per_sec;
+  const double warm_qps = results[1].per_sec;
   const double speedup = cold_qps > 0 ? warm_qps / cold_qps : 0;
   // The acceptance bar: the cache must buy at least 5x at 8 threads.
   JOINEST_CHECK_GE(speedup, 5.0)
@@ -297,10 +266,10 @@ int main(int argc, char** argv) {
     cells.push_back(r.mode);
     std::snprintf(buf, sizeof buf, "%.4f", r.seconds);
     cells.push_back(buf);
-    std::snprintf(buf, sizeof buf, "%.0f", r.queries_per_sec);
+    std::snprintf(buf, sizeof buf, "%.0f", r.per_sec);
     cells.push_back(buf);
     std::snprintf(buf, sizeof buf, "%.2fx",
-                  cold_qps > 0 ? r.queries_per_sec / cold_qps : 0);
+                  cold_qps > 0 ? r.per_sec / cold_qps : 0);
     cells.push_back(buf);
     printer.AddRow(std::move(cells));
   }
@@ -319,8 +288,7 @@ int main(int argc, char** argv) {
   };
   for (const ModeResult& r : results) {
     mode_gauge("bench_service_seconds", r.mode).Set(r.seconds);
-    mode_gauge("bench_service_queries_per_sec", r.mode)
-        .Set(r.queries_per_sec);
+    mode_gauge("bench_service_queries_per_sec", r.mode).Set(r.per_sec);
   }
   Gauge& speedup_gauge = registry.GetGauge(
       "bench_service_warm_speedup", "warm vs cold estimate QPS at 8 threads");

@@ -38,6 +38,18 @@ std::vector<AlgorithmPreset> PaperPresets();
 // All presets.
 std::vector<AlgorithmPreset> AllPresets();
 
+// The paper's comparison (§8): each selectivity rule, named as reports and
+// records name it, with the preset that estimates under it.
+struct ComparisonRule {
+  const char* name;
+  AlgorithmPreset preset;
+};
+inline constexpr ComparisonRule kComparisonRules[] = {
+    {"LS", AlgorithmPreset::kELS},
+    {"M", AlgorithmPreset::kSM},
+    {"SS", AlgorithmPreset::kSSS},
+};
+
 // The orthogonal statistics dimension: which ANALYZE pipeline feeds the
 // catalog the estimator reads. Lets benchmarks sweep algorithm × statistics
 // source to quantify how sketch/sampling error propagates through Rules

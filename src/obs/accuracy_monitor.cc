@@ -46,20 +46,16 @@ void AccuracyMonitor::Ingest(const QueryRecord& record) {
   if (!options_.enabled) return;
   if (record.actual_rows < 0.0) return;  // Not executed: no ground truth.
   MutexLock lock(mutex_);
-  for (const QueryRecord::RuleEstimate& rule : record.per_rule) {
+  for (const RuleEstimate& rule : record.per_rule) {
     if (rule.q_error > 0.0) {
       Observe(rule.rule, 0, record.snapshot_version, rule.q_error);
     }
   }
-  for (const QueryRecord::JoinLevel& level : record.join_levels) {
-    if (level.q_ls > 0.0) {
-      Observe("LS", level.level, record.snapshot_version, level.q_ls);
-    }
-    if (level.q_m > 0.0) {
-      Observe("M", level.level, record.snapshot_version, level.q_m);
-    }
-    if (level.q_ss > 0.0) {
-      Observe("SS", level.level, record.snapshot_version, level.q_ss);
+  for (const JoinLevel& level : record.join_levels) {
+    for (const RuleEstimate& rule : level.per_rule) {
+      if (rule.q_error > 0.0) {
+        Observe(rule.rule, level.level, record.snapshot_version, rule.q_error);
+      }
     }
   }
 }

@@ -76,15 +76,31 @@ void AppendOperatorRows(const PlanNode& node, const Catalog& catalog,
   }
 }
 
-// Estimates after each join of `order` under one preset rule.
-StatusOr<std::vector<double>> RuleEstimates(const Catalog& catalog,
-                                            const QuerySpec& spec,
-                                            const std::vector<int>& order,
-                                            AlgorithmPreset preset) {
-  JOINEST_ASSIGN_OR_RETURN(
-      AnalyzedQuery analyzed,
-      AnalyzedQuery::Create(catalog, spec, PresetOptions(preset)));
-  return analyzed.EstimateOrder(order);
+// Aggregates, per span name, the events that ran wholly inside
+// [from_ns, to_ns] — the report's own run, not the rest of the ring.
+void SummarizeSpans(const TraceSession& session, int64_t from_ns,
+                    int64_t to_ns, ExplainAnalyzeReport& report) {
+  std::map<std::string, ExplainAnalyzeReport::SpanSummary> by_name;
+  for (const TraceSession::Event& event : session.Snapshot()) {
+    if (event.start_ns < from_ns ||
+        event.start_ns + event.duration_ns > to_ns) {
+      continue;
+    }
+    ++report.trace_events;
+    ExplainAnalyzeReport::SpanSummary& summary = by_name[event.name];
+    summary.name = event.name;
+    summary.count += 1;
+    summary.total_seconds += static_cast<double>(event.duration_ns) * 1e-9;
+  }
+  report.trace_dropped = session.dropped();
+  for (auto& [name, summary] : by_name) {
+    report.spans.push_back(std::move(summary));
+  }
+  std::sort(report.spans.begin(), report.spans.end(),
+            [](const ExplainAnalyzeReport::SpanSummary& a,
+               const ExplainAnalyzeReport::SpanSummary& b) {
+              return a.total_seconds > b.total_seconds;
+            });
 }
 
 }  // namespace
@@ -98,13 +114,9 @@ double QErrorValue(double estimated, double actual) {
 StatusOr<ExplainAnalyzeReport> ExplainAnalyzePlan(
     const Catalog& catalog, const QuerySpec& spec, const PlanNode& plan,
     const ExplainAnalyzeOptions& options) {
-  // Reuse an ambient session when the caller traces a larger scope; only a
-  // session we activate ourselves is exported into the report.
-  std::unique_ptr<TraceSession> owned_session;
-  if (options.capture_trace && TraceSession::Active() == nullptr) {
-    owned_session = std::make_unique<TraceSession>();
-    owned_session->Activate();
-  }
+  // The caller's session, if any; the window brackets this run's span.
+  const TraceSession* const session = TraceSession::Active();
+  const int64_t window_start = session != nullptr ? session->NowNs() : 0;
 
   ExplainAnalyzeReport report;
   report.rule = SelectivityRuleName(options.estimation.rule);
@@ -125,46 +137,28 @@ StatusOr<ExplainAnalyzeReport> ExplainAnalyzePlan(
     const std::vector<int64_t> actual = LeftSpineJoinRows(plan, result);
     if (!actual.empty()) {
       const std::vector<int> order = PlanLeafOrder(plan);
-      JOINEST_ASSIGN_OR_RETURN(
-          std::vector<double> est_ls,
-          RuleEstimates(catalog, spec, order, AlgorithmPreset::kELS));
-      JOINEST_ASSIGN_OR_RETURN(
-          std::vector<double> est_m,
-          RuleEstimates(catalog, spec, order, AlgorithmPreset::kSM));
-      JOINEST_ASSIGN_OR_RETURN(
-          std::vector<double> est_ss,
-          RuleEstimates(catalog, spec, order, AlgorithmPreset::kSSS));
-      JOINEST_CHECK_EQ(est_ls.size(), actual.size());
-
-      MetricsRegistry& registry = MetricsRegistry::Global();
-      const char* kHelp = "EXPLAIN ANALYZE q-error per join level";
-      HistogramMetric& h_ls = registry.GetHistogram(
-          "estimator_qerror", kHelp, HistogramBuckets::QError(),
-          {{"rule", "LS"}});
-      HistogramMetric& h_m = registry.GetHistogram(
-          "estimator_qerror", kHelp, HistogramBuckets::QError(),
-          {{"rule", "M"}});
-      HistogramMetric& h_ss = registry.GetHistogram(
-          "estimator_qerror", kHelp, HistogramBuckets::QError(),
-          {{"rule", "SS"}});
       std::string prefix = spec.tables[order[0]].alias;
       for (size_t i = 0; i < actual.size(); ++i) {
         prefix += " x " + spec.tables[order[i + 1]].alias;
-        ExplainAnalyzeReport::JoinLevel level;
-        level.level = static_cast<int>(i) + 1;
-        level.prefix = prefix;
-        level.actual = actual[i];
-        level.est_ls = est_ls[i];
-        level.est_m = est_m[i];
-        level.est_ss = est_ss[i];
-        const double act = static_cast<double>(actual[i]);
-        level.q_ls = QErrorValue(est_ls[i], act);
-        level.q_m = QErrorValue(est_m[i], act);
-        level.q_ss = QErrorValue(est_ss[i], act);
-        h_ls.Observe(level.q_ls);
-        h_m.Observe(level.q_m);
-        h_ss.Observe(level.q_ss);
-        report.join_levels.push_back(std::move(level));
+        report.join_levels.push_back(
+            JoinLevel{static_cast<int>(i) + 1, prefix, actual[i], {}, 0});
+      }
+      for (const ComparisonRule& rule : kComparisonRules) {
+        JOINEST_ASSIGN_OR_RETURN(
+            AnalyzedQuery analyzed,
+            AnalyzedQuery::Create(catalog, spec, PresetOptions(rule.preset)));
+        const std::vector<double> estimates = analyzed.EstimateOrder(order);
+        JOINEST_CHECK_EQ(estimates.size(), actual.size());
+        HistogramMetric& histogram = MetricsRegistry::Global().GetHistogram(
+            "estimator_qerror", "EXPLAIN ANALYZE q-error per join level",
+            HistogramBuckets::QError(), {{"rule", rule.name}});
+        for (size_t i = 0; i < actual.size(); ++i) {
+          const double q =
+              QErrorValue(estimates[i], static_cast<double>(actual[i]));
+          histogram.Observe(q);
+          report.join_levels[i].per_rule.push_back(
+              RuleEstimate{rule.name, estimates[i], q});
+        }
       }
     }
 
@@ -193,30 +187,10 @@ StatusOr<ExplainAnalyzeReport> ExplainAnalyzePlan(
     }
     AppendOperatorRows(plan, catalog, spec, has_top ? 1 : 0, stats_of,
                        report.operators);
-  }  // Close the explain_analyze span before snapshotting the trace.
+  }  // Close the explain_analyze span before summarising the trace.
 
-  if (TraceSession* session = TraceSession::Active()) {
-    const std::vector<TraceSession::Event> events = session->Snapshot();
-    report.trace_events = static_cast<int64_t>(events.size());
-    report.trace_dropped = session->dropped();
-    std::map<std::string, ExplainAnalyzeReport::SpanSummary> by_name;
-    for (const TraceSession::Event& event : events) {
-      ExplainAnalyzeReport::SpanSummary& summary = by_name[event.name];
-      summary.name = event.name;
-      summary.count += 1;
-      summary.total_seconds += static_cast<double>(event.duration_ns) * 1e-9;
-    }
-    for (auto& [name, summary] : by_name) {
-      report.spans.push_back(std::move(summary));
-    }
-    std::sort(report.spans.begin(), report.spans.end(),
-              [](const ExplainAnalyzeReport::SpanSummary& a,
-                 const ExplainAnalyzeReport::SpanSummary& b) {
-                return a.total_seconds > b.total_seconds;
-              });
-    if (owned_session != nullptr) {
-      report.trace_json = session->ToChromeTraceJson();
-    }
+  if (session != nullptr) {
+    SummarizeSpans(*session, window_start, session->NowNs(), report);
   }
   return report;
 }
@@ -258,15 +232,21 @@ std::string ExplainAnalyzeReport::FormatText() const {
 
   if (!join_levels.empty()) {
     oss << "\nJoin levels (q-error = max(est/act, act/est)):\n";
-    TablePrinter levels(
-        {"#", "prefix", "actual", "LS est", "LS q", "M est", "M q", "SS est",
-         "SS q"});
+    std::vector<std::string> header = {"#", "prefix", "actual"};
+    for (const RuleEstimate& estimate : join_levels.front().per_rule) {
+      header.push_back(estimate.rule + " est");
+      header.push_back(estimate.rule + " q");
+    }
+    TablePrinter levels(std::move(header));
     for (const JoinLevel& level : join_levels) {
-      levels.AddRow({FormatNumber(level.level), level.prefix,
-                     FormatNumber(static_cast<double>(level.actual)),
-                     FormatNumber(level.est_ls), FormatNumber(level.q_ls),
-                     FormatNumber(level.est_m), FormatNumber(level.q_m),
-                     FormatNumber(level.est_ss), FormatNumber(level.q_ss)});
+      std::vector<std::string> row = {
+          FormatNumber(level.level), level.prefix,
+          FormatNumber(static_cast<double>(level.actual))};
+      for (const RuleEstimate& estimate : level.per_rule) {
+        row.push_back(FormatNumber(estimate.rows));
+        row.push_back(FormatNumber(estimate.q_error));
+      }
+      levels.AddRow(std::move(row));
     }
     levels.Print(oss);
   }
@@ -351,21 +331,17 @@ void ExplainAnalyzeReport::WriteJson(JsonWriter& json) const {
     json.Int(level.actual);
     json.Key("estimates");
     json.BeginObject();
-    json.Key("LS");
-    json.Number(level.est_ls);
-    json.Key("M");
-    json.Number(level.est_m);
-    json.Key("SS");
-    json.Number(level.est_ss);
+    for (const RuleEstimate& estimate : level.per_rule) {
+      json.Key(estimate.rule);
+      json.Number(estimate.rows);
+    }
     json.EndObject();
     json.Key("qerrors");
     json.BeginObject();
-    json.Key("LS");
-    json.Number(level.q_ls);
-    json.Key("M");
-    json.Number(level.q_m);
-    json.Key("SS");
-    json.Number(level.q_ss);
+    for (const RuleEstimate& estimate : level.per_rule) {
+      json.Key(estimate.rule);
+      json.Number(estimate.q_error);
+    }
     json.EndObject();
     json.EndObject();
   }

@@ -20,15 +20,20 @@
 // count, which the reduction cannot change.
 //
 // Each join level is estimated under Rule LS (Algorithm ELS), Rule M
-// (Selinger) and Rule SS, so one report reproduces the paper's comparison
-// on a live query. The q-errors are also observed into the metrics
-// registry's `estimator_qerror{rule=...}` histograms, accumulating a
-// workload-level error distribution across calls.
+// (Selinger) and Rule SS (kComparisonRules, estimator/presets.h), so one
+// report reproduces the paper's comparison on a live query. The q-errors
+// are also observed into the metrics registry's `estimator_qerror{rule=...}`
+// histograms, accumulating a workload-level error distribution across calls.
 //
-// Unless a TraceSession is already active, ExplainAnalyze activates its own
-// for the duration of the run; the report carries a per-span-name timing
-// summary plus the full Chrome trace-event JSON (validate or load it with
-// tools/check_trace.py / chrome://tracing).
+// Join levels, per-rule estimates and predicate-transfer rows use the
+// record types the flight recorder logs (obs/flight_recorder.h).
+//
+// ExplainAnalyze never creates or activates a TraceSession. When the caller
+// has one active, the report summarises the events that fall inside its own
+// `explain_analyze` span's time window (other threads' spans in that window
+// included); the caller owns the session, keeps it active for the call, and
+// exports it (ToChromeTraceJson, validated by tools/check_trace.py). With
+// no active session the report has no spans.
 
 #ifndef JOINEST_OBS_EXPLAIN_ANALYZE_H_
 #define JOINEST_OBS_EXPLAIN_ANALYZE_H_
@@ -42,29 +47,16 @@
 #include "estimator/analyzed_query.h"
 #include "executor/plan.h"
 #include "executor/scan_ops.h"
+#include "obs/flight_recorder.h"
 #include "query/query_spec.h"
 #include "storage/catalog.h"
 
 namespace joinest {
 
-// One executed predicate-transfer probe, as plain data (the service layer
-// copies these out of PtResult so obs does not depend on src/pt/).
-struct PtFilterRow {
-  std::string table;
-  std::string column;
-  bool forward = true;
-  int64_t probed = 0;
-  int64_t passed = 0;
-  double pass_rate = 1.0;
-};
-
 struct ExplainAnalyzeOptions {
   // Estimation configuration the plan was (or will be) optimized under;
   // reported as the headline rule. Defaults to Algorithm ELS's settings.
   EstimationOptions estimation;
-  // Capture a trace of the full run (estimation + execution). When a
-  // session is already active, it is reused and left active.
-  bool capture_trace = true;
   // Predicate-transfer row-id selections the plan's scans are restricted
   // to, and the probe statistics to report. Join-level actuals then count
   // the reduced composites (see the file comment). Must outlive the call.
@@ -97,23 +89,17 @@ struct ExplainAnalyzeReport {
   std::vector<OperatorRow> operators;
 
   // One row per join level of a left-deep plan, along its leaf order: level
-  // k covers the first k+1 tables. Estimates and q-errors under each of the
-  // paper's rules; `actual` is the executed row count of that level's join
-  // node. Empty for a bushy plan.
-  struct JoinLevel {
-    int level = 0;
-    std::string prefix;     // "S x M x B"
-    int64_t actual = 0;
-    double est_ls = 0, est_m = 0, est_ss = 0;
-    double q_ls = 0, q_m = 0, q_ss = 0;
-  };
+  // k covers the first k+1 tables. Estimates and q-errors under each rule of
+  // kComparisonRules, in table order; `actual` is the executed row count of
+  // that level's join node. Empty for a bushy plan.
   std::vector<JoinLevel> join_levels;
 
   // Predicate-transfer probes that ran before the plan (runtime
   // selectivities observed by the reduction). Empty when transfer was off.
   std::vector<PtFilterRow> predicate_transfer;
 
-  // Per-span-name aggregation over the captured trace.
+  // Per-span-name aggregation over the caller's trace events inside this
+  // run's `explain_analyze` span; empty when no session was active.
   struct SpanSummary {
     std::string name;
     int64_t count = 0;
@@ -121,17 +107,13 @@ struct ExplainAnalyzeReport {
   };
   std::vector<SpanSummary> spans;
 
-  int64_t trace_events = 0;
-  int64_t trace_dropped = 0;
-  // Chrome trace-event JSON of the run; empty when tracing was off or an
-  // external session was active (the caller owns that one).
-  std::string trace_json;
+  int64_t trace_events = 0;   // Events summarised in `spans`.
+  int64_t trace_dropped = 0;  // The session's overwritten events so far.
 
   // Human-readable rendering: operator tree, join-level table, span table.
   std::string FormatText() const;
 
-  // Machine-readable rendering (everything but trace_json, which callers
-  // write to a separate file — it is itself a JSON document).
+  // Machine-readable rendering.
   void WriteJson(JsonWriter& json) const;
   std::string ToJson() const;
 };

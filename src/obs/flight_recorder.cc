@@ -1,12 +1,24 @@
 #include "obs/flight_recorder.h"
 
 #include <algorithm>
+#include <cctype>
 
 #include "common/logging.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 
 namespace joinest {
+
+namespace {
+
+std::string LowerCase(std::string text) {
+  for (char& c : text) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return text;
+}
+
+}  // namespace
 
 const char* QueryRecordApiName(QueryRecord::Api api) {
   switch (api) {
@@ -154,7 +166,7 @@ void WriteQueryRecordJson(JsonWriter& json, const QueryRecord& record) {
   json.Number(record.q_error);
   json.Key("per_rule");
   json.BeginArray();
-  for (const QueryRecord::RuleEstimate& rule : record.per_rule) {
+  for (const RuleEstimate& rule : record.per_rule) {
     json.BeginObject();
     json.Key("rule");
     json.String(rule.rule);
@@ -168,24 +180,21 @@ void WriteQueryRecordJson(JsonWriter& json, const QueryRecord& record) {
   if (!record.join_levels.empty()) {
     json.Key("join_levels");
     json.BeginArray();
-    for (const QueryRecord::JoinLevel& level : record.join_levels) {
+    for (const JoinLevel& level : record.join_levels) {
       json.BeginObject();
       json.Key("level");
       json.Int(level.level);
       json.Key("actual");
-      json.Number(level.actual);
-      json.Key("est_ls");
-      json.Number(level.est_ls);
-      json.Key("est_m");
-      json.Number(level.est_m);
-      json.Key("est_ss");
-      json.Number(level.est_ss);
-      json.Key("q_ls");
-      json.Number(level.q_ls);
-      json.Key("q_m");
-      json.Number(level.q_m);
-      json.Key("q_ss");
-      json.Number(level.q_ss);
+      json.Number(static_cast<double>(level.actual));
+      // "est_ls", "est_m", ..., then "q_ls", "q_m", ...
+      for (const RuleEstimate& rule : level.per_rule) {
+        json.Key("est_" + LowerCase(rule.rule));
+        json.Number(rule.rows);
+      }
+      for (const RuleEstimate& rule : level.per_rule) {
+        json.Key("q_" + LowerCase(rule.rule));
+        json.Number(rule.q_error);
+      }
       json.Key("subplan_prefix");
       json.Int(static_cast<int64_t>(level.subplan_prefix));
       json.EndObject();
@@ -195,7 +204,7 @@ void WriteQueryRecordJson(JsonWriter& json, const QueryRecord& record) {
   if (!record.pt_filters.empty()) {
     json.Key("pt_filters");
     json.BeginArray();
-    for (const QueryRecord::PtFilter& filter : record.pt_filters) {
+    for (const PtFilterRow& filter : record.pt_filters) {
       json.BeginObject();
       json.Key("table");
       json.String(filter.table);

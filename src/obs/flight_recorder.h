@@ -40,39 +40,48 @@
 
 namespace joinest {
 
+// The estimate-versus-actual record, in the one form EXPLAIN ANALYZE
+// reports and the flight recorder logs (obs/explain_analyze.h,
+// QueryRecord below; EstimateResult::per_rule in service/database.h).
+
+// One rule's estimate, with its q-error once the query ran.
+struct RuleEstimate {
+  std::string rule;    // "LS", "M", "SS".
+  double rows = 0.0;
+  double q_error = 0.0;  // 0 when no actual cardinality is known.
+};
+
+// One join level of a left-deep plan: the composite of its first level + 1
+// leaves, its executed row count, and each rule's estimate of it.
+struct JoinLevel {
+  int level = 0;  // 1 = first join in the chosen order.
+  std::string prefix;  // "S x M x B"
+  int64_t actual = 0;
+  std::vector<RuleEstimate> per_rule;
+  // Canonical fingerprint of the join prefix this level measured
+  // (service/fingerprint.h SubPlanFingerprint); 0 when not computed.
+  // Feedback-enabled sessions feed (subplan_prefix, actual) pairs into
+  // the database's FeedbackStore.
+  uint64_t subplan_prefix = 0;
+};
+
+// One executed predicate-transfer probe, as plain data (the service layer
+// converts src/pt/'s PtFilterStats so obs does not depend on it).
+struct PtFilterRow {
+  std::string table;
+  std::string column;
+  bool forward = true;
+  int64_t probed = 0;
+  int64_t passed = 0;
+  double pass_rate = 1.0;
+};
+
 // One captured query. Plain data: the service layer fills it in (the
 // recorder itself never computes estimates or q-errors — joinest_obs sits
 // below the estimator in the link order).
 struct QueryRecord {
   // Which facade call produced the record.
   enum class Api { kEstimate, kExecute, kExplainAnalyze };
-
-  // Estimate under one rule, with its q-error when the query executed.
-  struct RuleEstimate {
-    std::string rule;    // "LS", "M", "SS".
-    double rows = 0.0;
-    double q_error = 0.0;  // 0 when no actual cardinality is known.
-  };
-
-  // Per-join-level accuracy, available from ExplainAnalyze calls.
-  struct JoinLevel {
-    int level = 0;  // 1 = first join in the chosen order.
-    double actual = 0.0;
-    double est_ls = 0.0, est_m = 0.0, est_ss = 0.0;
-    double q_ls = 0.0, q_m = 0.0, q_ss = 0.0;
-    // Canonical fingerprint of the join prefix this level measured
-    // (service/fingerprint.h SubPlanFingerprint); 0 when not computed.
-    // Feedback-enabled sessions feed (subplan_prefix, actual) pairs into
-    // the database's FeedbackStore.
-    uint64_t subplan_prefix = 0;
-  };
-
-  // One predicate-transfer Bloom filter application.
-  struct PtFilter {
-    std::string table;
-    std::string column;
-    double pass_rate = 1.0;
-  };
 
   int64_t seq = 0;  // Capture sequence number, assigned by the recorder.
   Api api = Api::kEstimate;
@@ -88,9 +97,10 @@ struct QueryRecord {
   double actual_rows = -1.0;    // -1 when the query was not executed.
   double q_error = 0.0;         // Headline q-error; 0 when no actual.
   std::vector<RuleEstimate> per_rule;
+  // Per-join-level accuracy, available from ExplainAnalyze calls.
   std::vector<JoinLevel> join_levels;
 
-  std::vector<PtFilter> pt_filters;
+  std::vector<PtFilterRow> pt_filters;
   double pt_rows_pruned = 0.0;
 
   int64_t operators_total = 0;        // Operators in the executed plan.

@@ -136,11 +136,6 @@ Session::Options& Session::Options::set_use_cache(bool use_cache) {
   return *this;
 }
 
-Session::Options& Session::Options::set_capture_trace(bool capture) {
-  capture_trace_ = capture;
-  return *this;
-}
-
 Status Session::Options::Validate() const {
   JOINEST_RETURN_IF_ERROR(features_.Validate());
   return ValidateOptimizerOptions(optimizer_);
@@ -224,8 +219,7 @@ double EstimateResult::groups() const {
   return payload_->groups;
 }
 
-const std::vector<EstimateResult::RuleEstimate>& EstimateResult::per_rule()
-    const {
+const std::vector<RuleEstimate>& EstimateResult::per_rule() const {
   JOINEST_CHECK(payload_ != nullptr);
   return payload_->per_rule;
 }
@@ -371,11 +365,7 @@ void Session::FillBaseRecord(const PreparedQuery& prepared,
   record.rule = SelectivityRuleName(options_.estimation().rule);
   record.estimated_rows = estimate.rows();
   record.parse_seconds = prepared.parse_seconds;
-  record.per_rule.reserve(estimate.per_rule().size());
-  for (const EstimateResult::RuleEstimate& rule : estimate.per_rule()) {
-    record.per_rule.push_back(
-        QueryRecord::RuleEstimate{rule.rule, rule.rows, 0.0});
-  }
+  record.per_rule = estimate.per_rule();
 }
 
 StatusOr<EstimateResult> Session::Estimate(
@@ -435,19 +425,13 @@ StatusOr<EstimateResult> Session::EstimateImpl(const PreparedQuery& prepared,
 
   // The paper's comparison rules, computed while everything is hot; a
   // cache hit then answers the whole §8 row at once.
-  static constexpr struct {
-    const char* name;
-    AlgorithmPreset preset;
-  } kRules[] = {{"LS", AlgorithmPreset::kELS},
-                {"M", AlgorithmPreset::kSM},
-                {"SS", AlgorithmPreset::kSSS}};
-  for (const auto& rule : kRules) {
+  for (const ComparisonRule& rule : kComparisonRules) {
     JOINEST_ASSIGN_OR_RETURN(
         AnalyzedQuery variant,
         AnalyzedQuery::Create(catalog, prepared.spec,
                               PresetOptions(rule.preset)));
     payload->per_rule.push_back(
-        EstimateResult::RuleEstimate{rule.name, variant.EstimateFullJoin()});
+        RuleEstimate{rule.name, variant.EstimateFullJoin(), 0.0});
   }
 
   if (options_.use_cache()) database_->cache().Insert(key, payload);
@@ -504,16 +488,15 @@ StatusOr<PlannedQuery> Session::Optimize(const std::string& sql) const {
 
 namespace {
 
-// Copies the predicate-transfer evidence (if transfer ran) into a record.
-void FillPtFields(const PtResult* pt, QueryRecord& record) {
-  if (pt == nullptr) return;
-  record.pt_seconds = pt->seconds;
-  record.pt_rows_pruned = static_cast<double>(pt->rows_pruned());
-  record.pt_filters.reserve(pt->filters.size());
-  for (const PtFilterStats& f : pt->filters) {
-    record.pt_filters.push_back(
-        QueryRecord::PtFilter{f.table_name, f.column_name, f.pass_rate});
+// The reduction's probes as the rows reports and records carry.
+std::vector<PtFilterRow> PtFilterRows(const PtResult& pt) {
+  std::vector<PtFilterRow> rows;
+  rows.reserve(pt.filters.size());
+  for (const PtFilterStats& f : pt.filters) {
+    rows.push_back(PtFilterRow{f.table_name, f.column_name, f.forward,
+                               f.probed, f.passed, f.pass_rate});
   }
+  return rows;
 }
 
 // Bitmask covering every query-local table.
@@ -526,8 +509,7 @@ uint64_t FullTableMask(int num_tables) {
 
 void Session::RecordRun(
     const PreparedQuery& prepared, const PlannedQuery& planned,
-    const PtResult* pt, int64_t count,
-    const std::vector<ExplainAnalyzeReport::JoinLevel>& levels,
+    const PtResult* pt, int64_t count, std::vector<JoinLevel> levels,
     std::chrono::steady_clock::time_point call_start,
     QueryRecord record) const {
   const bool feedback_on = options_.feedback();
@@ -557,25 +539,23 @@ void Session::RecordRun(
   // would be served to sessions without transfer and skew the accuracy
   // monitor, so a reduced run observes only the full query, whose count
   // the reduction cannot change.
-  const bool reduced = pt != nullptr && !pt->selections.empty();
-  const size_t num_levels = reduced ? 0 : levels.size();
+  if (pt != nullptr && !pt->selections.empty()) levels.clear();
   const std::vector<int>& order = planned.join_order();
-  std::vector<uint64_t> prefixes(num_levels, 0);
-  if (num_levels + 1 == order.size()) {
+  if (levels.size() + 1 == order.size()) {
     uint64_t prefix_mask = uint64_t{1} << order[0];
-    for (size_t k = 0; k < num_levels; ++k) {
+    for (size_t k = 0; k < levels.size(); ++k) {
       prefix_mask |= uint64_t{1} << order[k + 1];
-      prefixes[k] =
+      levels[k].subplan_prefix =
           SubPlanFingerprint(catalog, prepared.spec, closed, prefix_mask);
     }
   }
 
   if (feedback_on) {
     database_->feedback_store_->Record(subplan, version, actual);
-    for (size_t k = 0; k < num_levels; ++k) {
-      if (prefixes[k] != 0) {
+    for (const JoinLevel& level : levels) {
+      if (level.subplan_prefix != 0) {
         database_->feedback_store_->Record(
-            prefixes[k], version, static_cast<double>(levels[k].actual));
+            level.subplan_prefix, version, static_cast<double>(level.actual));
       }
     }
   }
@@ -586,18 +566,15 @@ void Session::RecordRun(
     record.actual_rows = actual;
     record.subplan_fingerprint = subplan;
     record.q_error = QErrorValue(record.estimated_rows, actual);
-    for (QueryRecord::RuleEstimate& rule : record.per_rule) {
+    for (RuleEstimate& rule : record.per_rule) {
       rule.q_error = QErrorValue(rule.rows, actual);
     }
-    record.join_levels.reserve(num_levels);
-    for (size_t k = 0; k < num_levels; ++k) {
-      const ExplainAnalyzeReport::JoinLevel& level = levels[k];
-      record.join_levels.push_back(QueryRecord::JoinLevel{
-          level.level, static_cast<double>(level.actual), level.est_ls,
-          level.est_m, level.est_ss, level.q_ls, level.q_m, level.q_ss,
-          prefixes[k]});
+    record.join_levels = std::move(levels);
+    if (pt != nullptr) {
+      record.pt_seconds = pt->seconds;
+      record.pt_rows_pruned = static_cast<double>(pt->rows_pruned());
+      record.pt_filters = PtFilterRows(*pt);
     }
-    FillPtFields(pt, record);
     record.estimate_seconds = estimate_seconds;
     record.total_seconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - call_start)
@@ -644,14 +621,9 @@ StatusOr<ExplainAnalyzeReport> Session::ExplainAnalyze(
                            MaybeRunPredicateTransfer(prepared));
   ExplainAnalyzeOptions ea;
   ea.estimation = EffectiveEstimation();
-  ea.capture_trace = options_.capture_trace();
   if (pt != nullptr) {
     ea.scan_selections = &pt->selections;
-    for (const PtFilterStats& f : pt->filters) {
-      ea.predicate_transfer.push_back(PtFilterRow{
-          f.table_name, f.column_name, f.forward, f.probed, f.passed,
-          f.pass_rate});
-    }
+    ea.predicate_transfer = PtFilterRows(*pt);
   }
   JOINEST_ASSIGN_OR_RETURN(
       ExplainAnalyzeReport report,

@@ -124,12 +124,9 @@ class EstimateResult {
   // GROUP BY group-count estimate (== rows() without GROUP BY).
   double groups() const;
 
-  // The same query estimated under each paper preset pipeline (ELS / SM /
-  // SSS), computed together on the cold path and cached as one unit.
-  struct RuleEstimate {
-    std::string rule;
-    double rows = 0;
-  };
+  // The same query estimated under each rule of kComparisonRules (LS / M /
+  // SS, estimator/presets.h), computed together on the cold path and cached
+  // as one unit. No q-errors: nothing ran.
   const std::vector<RuleEstimate>& per_rule() const;
 
   // Full preliminary-phase output (closure, profiles, traces).
@@ -205,8 +202,6 @@ class Session {
     // Serve Estimate/Optimize from the database's cache (default on).
     // Off, every call recomputes — the benchmark's cold path.
     Options& set_use_cache(bool use_cache);
-    // ExplainAnalyze: capture a trace of the run.
-    Options& set_capture_trace(bool capture);
 
     const EstimationOptions& estimation() const {
       return optimizer_.estimation;
@@ -214,7 +209,6 @@ class Session {
     const OptimizerOptions& optimizer() const { return optimizer_; }
     const EstimatorFeatures& features() const { return features_; }
     bool use_cache() const { return use_cache_; }
-    bool capture_trace() const { return capture_trace_; }
     // DEPRECATED alias of features().runtime_selectivities.
     bool predicate_transfer() const { return features_.runtime_selectivities; }
     bool feedback() const { return features_.feedback; }
@@ -234,7 +228,6 @@ class Session {
     // store pointers are injected per call by Session::EffectiveEstimation.
     EstimatorFeatures features_;
     bool use_cache_ = true;
-    bool capture_trace_ = true;
   };
 
   // Parses and resolves `sql` against the database's CURRENT snapshot and
@@ -256,9 +249,9 @@ class Session {
   StatusOr<ExecuteResult> Execute(const PreparedQuery& prepared) const;
   StatusOr<ExecuteResult> Execute(const std::string& sql) const;
 
-  // Optimize (memoised) + EXPLAIN ANALYZE report (obs/explain_analyze.h)
-  // under the session's trace/ground-truth knobs. Never cached: it runs
-  // the plan by definition.
+  // Optimize (memoised) + EXPLAIN ANALYZE report (obs/explain_analyze.h).
+  // Spans are summarised from the caller's active TraceSession, if any.
+  // Never cached: it runs the plan by definition.
   StatusOr<ExplainAnalyzeReport> ExplainAnalyze(
       const PreparedQuery& prepared) const;
   StatusOr<ExplainAnalyzeReport> ExplainAnalyze(const std::string& sql) const;
@@ -300,11 +293,11 @@ class Session {
   // flight-recorder offer. `record` arrives with the caller's own fields
   // set (api, execute_seconds, kernel counters); `levels` are
   // ExplainAnalyze's join levels (none for Execute), each observed as its
-  // prefix's cardinality and logged in the record unless predicate
+  // prefix's cardinality and moved into the record unless predicate
   // transfer reduced the scans.
   void RecordRun(const PreparedQuery& prepared, const PlannedQuery& planned,
                  const PtResult* pt, int64_t count,
-                 const std::vector<ExplainAnalyzeReport::JoinLevel>& levels,
+                 std::vector<JoinLevel> levels,
                  std::chrono::steady_clock::time_point call_start,
                  QueryRecord record) const;
 

@@ -165,8 +165,9 @@ TEST(FlightRecorderTest, ExportsNdjsonAndJsonDocument) {
   record.seq = 7;
   record.actual_rows = 50.0;
   record.per_rule.push_back({"LS", 100.0, 2.0});
-  record.join_levels.push_back({1, 50.0, 100.0, 80.0, 90.0, 2.0, 1.6, 1.8});
-  record.pt_filters.push_back({"R2", "y", 0.5});
+  record.join_levels.push_back(
+      {1, "R1 x R2", 50, {{"LS", 100.0, 2.0}, {"M", 80.0, 1.6}}, 42});
+  record.pt_filters.push_back({"R2", "y", true, 1000, 500, 0.5});
   record.pt_rows_pruned = 500.0;
   record.operators_total = 5;
   record.kernels_specialized = 3;
@@ -180,8 +181,15 @@ TEST(FlightRecorderTest, ExportsNdjsonAndJsonDocument) {
   EXPECT_NE(line.find("\"api\":\"execute\""), std::string::npos);
   EXPECT_NE(line.find("\"rule\":\"LS\""), std::string::npos);
   EXPECT_NE(line.find("\"actual_rows\":50"), std::string::npos);
-  EXPECT_NE(line.find("\"join_levels\""), std::string::npos);
-  EXPECT_NE(line.find("\"pt_filters\""), std::string::npos);
+  EXPECT_NE(line.find("\"join_levels\":[{\"level\":1,\"actual\":50,"
+                      "\"est_ls\":100,\"est_m\":80,\"q_ls\":2,\"q_m\":1.6,"
+                      "\"subplan_prefix\":42}]"),
+            std::string::npos)
+      << line;
+  EXPECT_NE(line.find("\"pt_filters\":[{\"table\":\"R2\",\"column\":\"y\","
+                      "\"pass_rate\":0.5}]"),
+            std::string::npos)
+      << line;
   EXPECT_NE(line.find("\"kernels_specialized\":3"), std::string::npos);
   EXPECT_NE(line.find("\"total_seconds\":0.25"), std::string::npos);
   // Optional sections stay out of records that lack them.
@@ -210,6 +218,25 @@ TEST(AccuracyMonitorTest, IgnoresUnexecutedRecords) {
   record.per_rule.push_back({"LS", 100.0, 0.0});
   monitor.Ingest(record);
   EXPECT_TRUE(monitor.Report().empty());
+}
+
+// Every rule of every join level gets its own (rule, level) window, beside
+// the whole-query windows; rules without a q-error are skipped.
+TEST(AccuracyMonitorTest, IngestsEveryRuleOfEveryJoinLevel) {
+  AccuracyMonitor monitor{AccuracyMonitor::Options()};
+  QueryRecord record = ExecutedRecord(1, 2.0);
+  record.join_levels.push_back(
+      {1, "R1 x R2", 50, {{"LS", 50.0, 1.0}, {"M", 5.0, 10.0}}, 0});
+  record.join_levels.push_back(
+      {2, "R1 x R2 x R3", 50, {{"LS", 50.0, 1.0}, {"SS", 1.0, 0.0}}, 0});
+  monitor.Ingest(record);
+  std::vector<std::pair<std::string, int>> keys;
+  for (const AccuracyMonitor::WindowStats& window : monitor.Report()) {
+    keys.emplace_back(window.rule, window.level);
+  }
+  const std::vector<std::pair<std::string, int>> expected = {
+      {"LS", 0}, {"LS", 1}, {"LS", 2}, {"M", 1}};
+  EXPECT_EQ(keys, expected);
 }
 
 TEST(AccuracyMonitorTest, DriftFiresOnceOnSyntheticSkewShift) {
@@ -296,7 +323,7 @@ TEST(ServiceRecorderTest, ColdAndWarmCallsBothLeaveRecords) {
   EXPECT_EQ(records[2].actual_rows, 1000.0);
   EXPECT_GE(records[2].q_error, 1.0);
   ASSERT_EQ(records[2].per_rule.size(), 3u);  // LS, M, SS.
-  for (const QueryRecord::RuleEstimate& rule : records[2].per_rule) {
+  for (const RuleEstimate& rule : records[2].per_rule) {
     EXPECT_GE(rule.q_error, 1.0);
   }
   EXPECT_GT(records[2].operators_total, 0);

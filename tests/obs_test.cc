@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -367,7 +368,10 @@ TEST(ExplainAnalyzeTest, PaperQueryReportsExactEstimates) {
 
   ExplainAnalyzeOptions options;
   options.estimation = PresetOptions(AlgorithmPreset::kELS);
+  TraceSession session;
+  session.Activate();
   auto report = ExplainAnalyzeQuery(catalog, *query, options);
+  session.Deactivate();
   ASSERT_TRUE(report.ok()) << report.status();
 
   // The paper's construction: every prefix restricted by s < 100 has true
@@ -375,12 +379,18 @@ TEST(ExplainAnalyzeTest, PaperQueryReportsExactEstimates) {
   EXPECT_EQ(report->count, 100);
   EXPECT_EQ(report->rule, std::string("LS"));
   ASSERT_EQ(report->join_levels.size(), 3u);
-  for (const ExplainAnalyzeReport::JoinLevel& level : report->join_levels) {
+  for (const JoinLevel& level : report->join_levels) {
     EXPECT_EQ(level.actual, 100);
-    EXPECT_NEAR(level.est_ls, 100.0, 1e-6);
-    EXPECT_NEAR(level.q_ls, 1.0, 1e-9);
+    ASSERT_EQ(level.per_rule.size(), 3u);  // kComparisonRules order.
+    const RuleEstimate& ls = level.per_rule[0];
+    const RuleEstimate& m = level.per_rule[1];
+    EXPECT_EQ(ls.rule, "LS");
+    EXPECT_EQ(m.rule, "M");
+    EXPECT_EQ(level.per_rule[2].rule, "SS");
+    EXPECT_NEAR(ls.rows, 100.0, 1e-6);
+    EXPECT_NEAR(ls.q_error, 1.0, 1e-9);
     // Rule M multiplies independent selectivities and collapses.
-    EXPECT_GT(level.q_m, level.q_ls);
+    EXPECT_GT(m.q_error, ls.q_error);
   }
 
   // Each level's actual is the executed row count of that level's join:
@@ -413,9 +423,11 @@ TEST(ExplainAnalyzeTest, PaperQueryReportsExactEstimates) {
     }
   }
 
-  // The traced run produced estimator and executor spans plus a trace doc.
+  // The caller's session traced the run: the report summarises estimator
+  // and executor spans, and the session exports the trace document.
   EXPECT_GT(report->trace_events, 0);
-  EXPECT_FALSE(report->trace_json.empty());
+  EXPECT_NE(session.ToChromeTraceJson().find("\"explain_analyze\""),
+            std::string::npos);
   bool saw_estimator_span = false;
   for (const ExplainAnalyzeReport::SpanSummary& span : report->spans) {
     if (span.name.rfind("estimator::", 0) == 0) saw_estimator_span = true;
@@ -457,9 +469,7 @@ TEST(ExplainAnalyzeTest, BushyPlanReportsNoJoinLevels) {
                    MakeScanNode(3, {}), {joins[2]}),
       {joins[1]});
 
-  ExplainAnalyzeOptions options;
-  options.capture_trace = false;
-  auto report = ExplainAnalyzePlan(catalog, *query, *plan, options);
+  auto report = ExplainAnalyzePlan(catalog, *query, *plan);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->count, 100);
   EXPECT_TRUE(report->join_levels.empty());
@@ -470,6 +480,59 @@ TEST(ExplainAnalyzeTest, BushyPlanReportsNoJoinLevels) {
     }
   }
   EXPECT_EQ(joins_with_actuals, 3);
+}
+
+StatusOr<ExplainAnalyzeReport> ExplainPaperQuery() {
+  Catalog catalog;
+  JOINEST_RETURN_IF_ERROR(BuildPaperDataset(catalog, PaperDatasetOptions{}));
+  JOINEST_ASSIGN_OR_RETURN(
+      QuerySpec query,
+      ParseQuery(catalog, "SELECT COUNT(*) FROM S, M, B WHERE S.s = M.m "
+                          "AND M.m = B.b AND S.s < 100"));
+  return ExplainAnalyzeQuery(catalog, query);
+}
+
+// EXPLAIN ANALYZE owns no trace: with no session active it turns none on
+// and reports no spans.
+TEST(ExplainAnalyzeTest, NoActiveSessionMeansNoSpans) {
+  ASSERT_EQ(TraceSession::Active(), nullptr);
+  auto report = ExplainPaperQuery();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(TraceSession::Active(), nullptr);
+  EXPECT_TRUE(report->spans.empty());
+  EXPECT_EQ(report->trace_events, 0);
+  EXPECT_EQ(report->count, 100);
+}
+
+// Under one caller-owned session, each report summarises only its own run:
+// the second call must not count the first call's events.
+TEST(ExplainAnalyzeTest, ReportsOnlyItsOwnSpansFromTheCallerSession) {
+  const auto counts = [](const ExplainAnalyzeReport& report) {
+    std::map<std::string, int64_t> by_name;
+    for (const ExplainAnalyzeReport::SpanSummary& span : report.spans) {
+      // A pool task's span closes after its group is released, so it may
+      // land just outside the window; every other span is synchronous.
+      if (span.name != "ThreadPool::task") by_name[span.name] = span.count;
+    }
+    return by_name;
+  };
+  TraceSession session;
+  session.Activate();
+  auto first = ExplainPaperQuery();
+  auto second = ExplainPaperQuery();
+  session.Deactivate();
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_TRUE(second.ok()) << second.status();
+  const std::map<std::string, int64_t> first_counts = counts(*first);
+  ASSERT_EQ(first_counts.count("explain_analyze"), 1u);
+  EXPECT_EQ(first_counts.at("explain_analyze"), 1);
+  EXPECT_EQ(first_counts, counts(*second));
+  // The session itself holds both runs.
+  int64_t runs = 0;
+  for (const TraceSession::Event& event : session.Snapshot()) {
+    if (std::string(event.name) == "explain_analyze") ++runs;
+  }
+  EXPECT_EQ(runs, 2);
 }
 
 // The X-macro table in obs/metric_names.h is the telemetry contract: the

@@ -291,13 +291,13 @@ TEST(PtParityTest, ExplainAnalyzeCarriesPassRates) {
   const Session session =
       db.CreateSession(Session::Options()
                            .set_features(EstimatorFeatures{
-                               .runtime_selectivities = true})
-                           .set_capture_trace(false))
+                               .runtime_selectivities = true}))
           .value();
   auto report = session.ExplainAnalyze(
       "SELECT COUNT(*) FROM S, M, B WHERE S.s = M.m AND M.m = B.b "
       "AND S.s < 100");
   ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->spans.empty());  // No session active: no trace.
   EXPECT_FALSE(report->predicate_transfer.empty());
   for (const PtFilterRow& row : report->predicate_transfer) {
     EXPECT_GE(row.pass_rate, 0.0);

@@ -9,6 +9,7 @@
 #include "stats/distinct.h"
 #include "stats/histogram.h"
 #include "stats/stats_io.h"
+#include "workloads/metrics.h"
 
 namespace joinest {
 namespace {
@@ -112,10 +113,6 @@ std::vector<double> UniformData(int n, int d) {
   std::vector<double> data;
   for (int i = 0; i < n; ++i) data.push_back(i % d);
   return data;
-}
-
-double QErrorLocal(double estimate, double truth) {
-  return std::max(estimate / truth, truth / estimate);
 }
 
 TEST(HistogramTest, EmptyDataYieldsZeroSelectivity) {
@@ -373,8 +370,7 @@ TEST(HistogramJoinTest, ZipfAccuracyBeatsUniformFormula) {
   const Histogram hb = Histogram::BuildEndBiased(b_data, 16, 32);
   const double hist_sel = HistogramJoinSelectivity(ha, hb);
   const double uniform_sel = 1.0 / 200;
-  EXPECT_LT(QErrorLocal(hist_sel, truth),
-            QErrorLocal(uniform_sel, truth) / 2)
+  EXPECT_LT(QError(hist_sel, truth), QError(uniform_sel, truth) / 2)
       << "hist " << hist_sel << " uniform " << uniform_sel << " truth "
       << truth;
 }

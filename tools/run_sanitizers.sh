@@ -14,8 +14,13 @@
 #     races sessions against concurrent ANALYZE snapshot republishes and
 #     hammers the sharded result cache), the query flight recorder
 #     (flight_recorder_test drives N writers into the mutex-sharded ring),
-#     and the cardinality feedback store (feedback_test races ingestion
-#     against concurrent consultation and ANALYZE aging).
+#     the cardinality feedback store (feedback_test races ingestion
+#     against concurrent consultation and ANALYZE aging), and tracing and
+#     EXPLAIN ANALYZE (obs_test: sharded metrics under concurrent writers,
+#     spans recorded into a caller-owned session).
+#
+# The tsan filter is passed unquoted: quotes inside the variable would
+# reach ctest literally and drop the first and last names from the regex.
 #
 # Usage: tools/run_sanitizers.sh [build-root]   (default: build-sanitize)
 
@@ -41,6 +46,6 @@ export ASAN_OPTIONS="halt_on_error=1:detect_leaks=1"
 export TSAN_OPTIONS="halt_on_error=1"
 
 run_job asan_ubsan "address,undefined" ""
-run_job tsan "thread" "-R 'sketch_test|storage_test|parity_test|executor_test|service_test|pt_test|feedback_test|thread_pool_test|flight_recorder_test'"
+run_job tsan "thread" "-R sketch_test|storage_test|parity_test|executor_test|service_test|pt_test|feedback_test|thread_pool_test|flight_recorder_test|obs_test"
 
 echo "All sanitizer jobs passed."
